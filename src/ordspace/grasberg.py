@@ -15,8 +15,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from functools import lru_cache, reduce
+from typing import Iterator, Optional, Sequence, Union
 
 from .ordinal import (
     ONE,
@@ -36,10 +36,8 @@ from .ordinal import (
 from .topology import (
     ClosedSet,
     Singleton,
-    Stratum,
     cb_index,
-    format_closed_set,
-    is_empty,
+    clip_atom,
     iterated_derivative,
     roundup,
     to_json as closed_set_to_json,
@@ -186,15 +184,26 @@ def value_at(f: StepFunction, point: Ordinal) -> Fraction:
     raise AssertionError("unreachable: last breakpoint is the ambient")
 
 
-def _refined_breakpoints(fs: Sequence[StepFunction]) -> list[Ordinal]:
-    return sorted({bp for f in fs for bp in f.breakpoints})
-
-
 def step_add(f: StepFunction, g: StepFunction) -> StepFunction:
+    """Pointwise sum, by one merge of the two sorted breakpoint tuples.
+
+    Both tuples end at the ambient, so the merge exhausts them together.
+    """
     if f.ambient != g.ambient:
         raise ValueError("step functions live on different ambient intervals")
-    bps = _refined_breakpoints((f, g))
-    return StepFunction(f.ambient, bps, [value_at(f, b) + value_at(g, b) for b in bps])
+    fb, fv, gb, gv = f.breakpoints, f.values, g.breakpoints, g.values
+    bps: list[Ordinal] = []
+    values: list[Fraction] = []
+    i = j = 0
+    while i < len(fb):
+        c = compare(fb[i], gb[j])
+        bps.append(fb[i] if c <= 0 else gb[j])
+        values.append(fv[i] + gv[j])
+        if c <= 0:
+            i += 1
+        if c >= 0:
+            j += 1
+    return StepFunction(f.ambient, bps, values)
 
 
 def step_scale(f: StepFunction, c: Rational) -> StepFunction:
@@ -208,14 +217,7 @@ def step_convex(coeffs: Sequence[Rational], fs: Sequence[StepFunction]) -> StepF
         raise ValueError("one coefficient per function required")
     if any(c < 0 for c in coeffs) or sum(coeffs, Fraction(0)) != 1:
         raise ValueError("coefficients must be non-negative and sum to 1")
-    ambient = fs[0].ambient
-    if any(f.ambient != ambient for f in fs):
-        raise ValueError("step functions live on different ambient intervals")
-    bps = _refined_breakpoints(fs)
-    values = [
-        sum((c * value_at(f, b) for c, f in zip(coeffs, fs)), Fraction(0)) for b in bps
-    ]
-    return StepFunction(ambient, bps, values)
+    return reduce(step_add, (step_scale(f, c) for c, f in zip(coeffs, fs)))
 
 
 # ---- sup and norm -----------------------------------------------------------
@@ -224,14 +226,7 @@ def step_convex(coeffs: Sequence[Rational], fs: Sequence[StepFunction]) -> StepF
 def _piece_meets(space: ClosedSet, lower: Optional[Ordinal], upper: Ordinal) -> bool:
     """Does the clopen piece (lower, upper] (or [0, upper]) meet the set?"""
     for atom in space.atoms:
-        if isinstance(atom, Singleton):
-            p = atom.point
-            if compare(p, upper) <= 0 and (lower is None or compare(lower, p) < 0):
-                return True
-            continue
-        w_lo = atom.lo if lower is None or compare(atom.lo, lower) >= 0 else lower
-        w_hi = atom.hi if compare(atom.hi, upper) <= 0 else upper
-        if compare(w_lo, w_hi) < 0 and compare(roundup(w_lo, atom.mu), w_hi) <= 0:
+        if clip_atom(atom, lower, upper, least=True) is not None:
             return True
     return False
 
@@ -245,6 +240,29 @@ def sup_on(f: StepFunction, space: ClosedSet) -> Fraction:
         if abs(v) > best and _piece_meets(space, lower, upper):
             best = abs(v)
     return best
+
+
+def argmax_on(f: StepFunction, space: ClosedSet) -> Optional[Ordinal]:
+    """The least point of the set where |f| attains its max there; None on the empty set.
+
+    Symbolic: the first piece meeting the set with the largest |value| holds
+    that point, and it is the least point of the set inside the piece.
+    """
+    if f.ambient != space.ambient:
+        raise ValueError("function and set live on different ambient intervals")
+    best: Optional[Fraction] = None
+    point: Optional[Ordinal] = None
+    for lower, upper, v in f.pieces():
+        if best is not None and abs(v) <= best:
+            continue
+        hits = [
+            q
+            for atom in space.atoms
+            if (q := clip_atom(atom, lower, upper, least=True)) is not None
+        ]
+        if hits:
+            best, point = abs(v), min(hits)
+    return point
 
 
 def grasberg_norm(f: StepFunction, space: ClosedSet) -> Fraction:
@@ -270,21 +288,9 @@ def phi(f: StepFunction, space: ClosedSet, eps: Rational) -> ClosedSet:
             if weight * abs(v) <= norm + eps:
                 continue
             for atom in level.atoms:
-                if isinstance(atom, Singleton):
-                    p = atom.point
-                    if compare(p, upper) <= 0 and (
-                        lower is None or compare(lower, p) < 0
-                    ):
-                        atoms.append(Singleton(p))
-                    continue
-                w_lo = (
-                    atom.lo
-                    if lower is None or compare(atom.lo, lower) >= 0
-                    else lower
-                )
-                w_hi = atom.hi if compare(atom.hi, upper) <= 0 else upper
-                if compare(w_lo, w_hi) < 0:
-                    atoms.append(Stratum(w_lo, w_hi, atom.mu))
+                clipped = clip_atom(atom, lower, upper)
+                if clipped is not None:
+                    atoms.append(clipped)
     return ClosedSet(space.ambient, atoms)
 
 

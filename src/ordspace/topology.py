@@ -24,7 +24,6 @@ from .ordinal import (
     divide_by_omega_pow,
     format_ordinal,
     from_json as ordinal_from_json,
-    leading_exponent,
     left_subtract,
     omega_mul,
     omega_pow,
@@ -76,13 +75,31 @@ def max_stratum_exponent(lo: Ordinal, hi: Ordinal) -> Ordinal:
     i = 0
     while i < len(lo.terms) and lo.terms[i] == hi.terms[i]:
         i += 1
-    if i == len(lo.terms):
-        return hi.terms[i][0]
-    e_lo, e_hi = lo.terms[i][0], hi.terms[i][0]
-    if compare(e_lo, e_hi) < 0:
-        return e_hi
-    # same exponent, so the coefficients differ and lo's is smaller
-    return e_hi
+    return hi.terms[i][0]
+
+
+def clip_atom(
+    atom: Atom, lower: Optional[Ordinal], upper: Ordinal, least: bool = False
+) -> Union[Atom, Ordinal, None]:
+    """Cut the atom down to the piece (lower, upper], or [0, upper] when lower is None.
+
+    Returns the clipped atom, or None when its window is empty; a clipped
+    stratum may still hold no multiple of w^mu.  With least=True returns
+    instead the least point of the clipped atom, or None when it has none.
+    """
+    if isinstance(atom, Singleton):
+        p = atom.point
+        if compare(p, upper) > 0 or (lower is not None and compare(lower, p) >= 0):
+            return None
+        return p if least else atom
+    lo = atom.lo if lower is None or compare(atom.lo, lower) >= 0 else lower
+    hi = atom.hi if compare(atom.hi, upper) <= 0 else upper
+    if compare(lo, hi) >= 0:
+        return None
+    if not least:
+        return Stratum(lo, hi, atom.mu)
+    first = roundup(lo, atom.mu)
+    return first if compare(first, hi) <= 0 else None
 
 
 def _stratum_contains(s: Stratum, g: Ordinal) -> bool:

@@ -241,6 +241,28 @@ def test_extract_tall_space_is_exit_1():
     assert "o = 1" in out
 
 
+def test_extract_zero_budget_is_exit_1_without_witness():
+    code, out = cap(["extract", "--space", "w", "--delta", "1/2", "--budget", "0"])
+    assert code == 1
+    assert out.startswith("error: family contract violated at node []")
+    assert "witness point" not in out
+
+
+def test_extract_exhausted_budget_names_witness():
+    code, out = cap(["extract", "--space", "w^(2)", "--delta", "1/2", "--ladder", "w", "--budget", "2"])
+    assert code == 1
+    assert "at node [0, 1], witness point w*3:" in out
+
+
+def test_extract_long_ladder_does_not_list_points():
+    # each critical set holds about 10,000 points; listing them would take minutes
+    code, out = cap(
+        ["extract", "--space", "w+1000000", "--ladder", "10000", "--delta", "1/2"]
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "n=17 eps=1/34"
+
+
 def test_extract_family_table(tmp_path):
     path = tmp_path / "fam.json"
     path.write_text(json.dumps({"cutoff": 40}))

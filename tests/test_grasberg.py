@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ordspace.grasberg import (
     GrasbergParams,
     StepFunction,
+    argmax_on,
     check_king,
     check_queen,
     constant,
@@ -42,12 +43,13 @@ from ordspace.topology import (
     Stratum,
     cb_index,
     derivative,
+    finite_points,
     interval,
     is_empty,
     iterated_derivative,
 )
 
-from conftest import landmark_points
+from conftest import closed_sets, landmark_points
 
 TWO = from_int(2)
 OMEGA_SQ = omega_pow(TWO)
@@ -291,6 +293,71 @@ def test_step_convex_halves():
     g = step_add(constant(OMEGA, 1), step_scale(f, -1))  # the complementary indicator
     got = step_convex([Fraction(1, 2), Fraction(1, 2)], [f, g])
     assert got == constant(OMEGA, Fraction(1, 2))
+
+
+def reference_step_convex(coeffs, fs):
+    """Sum of c*f evaluated with value_at on the sorted union of all breakpoints."""
+    bps = sorted({bp for f in fs for bp in f.breakpoints})
+    values = [sum((Fraction(c) * value_at(f, b) for c, f in zip(coeffs, fs)), Fraction(0)) for b in bps]
+    return StepFunction(fs[0].ambient, bps, values)
+
+
+FUZZ_SPACES = [interval(parse(text)) for text in ("w", "w*3+2", "w^(2)*2+w", "w^(w)+5")]
+
+
+@given(
+    st.sampled_from(FUZZ_SPACES),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=1, max_value=12),
+)
+def test_step_add_matches_value_at_reference(space, seed_a, seed_b, max_pieces):
+    f = random_step_function(space, seed_a, max_pieces=max_pieces)
+    g = random_step_function(space, seed_b, max_pieces=max_pieces)
+    assert step_add(f, g) == reference_step_convex([1, 1], [f, g])
+    assert step_add(f, g) == step_add(g, f)
+
+
+@given(
+    st.sampled_from(FUZZ_SPACES),
+    st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=4),
+    st.lists(st.integers(min_value=0, max_value=5), min_size=4, max_size=4),
+)
+def test_step_convex_matches_value_at_reference(space, seeds, weights):
+    fs = [random_step_function(space, seed, max_pieces=8) for seed in seeds]
+    weights = weights[: len(fs)]
+    if sum(weights) == 0:
+        weights[0] = 1
+    coeffs = [Fraction(w, sum(weights)) for w in weights]
+    assert step_convex(coeffs, fs) == reference_step_convex(coeffs, fs)
+
+
+def test_step_add_rejects_ambient_mismatch():
+    with pytest.raises(ValueError):
+        step_add(constant(OMEGA, 1), constant(OMEGA_SQ, 1))
+    with pytest.raises(ValueError):
+        step_convex([Fraction(1, 2), Fraction(1, 2)], [constant(OMEGA, 1), constant(OMEGA_SQ, 1)])
+
+
+def test_argmax_on_takes_first_largest_piece_and_its_least_point():
+    f = StepFunction(
+        OMEGA,
+        (from_int(1), from_int(3), from_int(6), OMEGA),
+        (Fraction(1, 10), Fraction(-1), Fraction(1), Fraction(0)),
+    )
+    space = ClosedSet(OMEGA, [Singleton(from_int(1)), Stratum(from_int(1), from_int(9), ZERO)])
+    assert argmax_on(f, space) == from_int(2)
+    assert argmax_on(f, ClosedSet(OMEGA, [Singleton(from_int(5))])) == from_int(5)
+    assert argmax_on(f, ClosedSet(OMEGA, [])) is None
+
+
+@given(closed_sets, st.integers(min_value=0, max_value=10**6))
+def test_argmax_on_matches_listing_the_points(space, seed):
+    points = finite_points(space)
+    if not points:
+        return
+    f = random_step_function(space, seed, max_pieces=8)
+    assert argmax_on(f, space) == max(points, key=lambda q: abs(value_at(f, q)))
 
 
 def test_step_convex_rejects_bad_weights():

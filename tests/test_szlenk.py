@@ -1,12 +1,30 @@
 """Tests for the index formulas, Dirac derivations, and the extraction recursion."""
 
 import dataclasses
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 
-from ordspace.grasberg import constant, grasberg_norm, params, random_ordinal, sup_on
+import ordspace.grasberg
+import ordspace.szlenk
+import ordspace.topology
+import ordspace.trees
+from ordspace.grasberg import (
+    StepFunction,
+    constant,
+    grasberg_norm,
+    indicator,
+    params,
+    phi,
+    random_ordinal,
+    step_function_to_json,
+    step_scale,
+    sup_on,
+    value_at,
+)
 from ordspace.ordinal import (
     OMEGA,
     ONE,
@@ -21,8 +39,22 @@ from ordspace.ordinal import (
     successor,
     tower_index,
 )
-from ordspace.topology import ClosedSet, cb_index, contains, interval, is_empty, iterated_derivative
-from ordspace.trees import WeaklyNullFamily, FamilyContractError, marching_indicators, zero_family
+from ordspace.topology import (
+    ClosedSet,
+    cb_index,
+    contains,
+    finite_points,
+    interval,
+    is_empty,
+    iterated_derivative,
+)
+from ordspace.trees import (
+    WeaklyNullFamily,
+    FamilyContractError,
+    family_from_table,
+    marching_indicators,
+    zero_family,
+)
 from ordspace.szlenk import (
     CertificateError,
     dirac_derivative,
@@ -244,6 +276,44 @@ def test_extraction_contract_violation():
     assert err.point is not None
 
 
+def test_extraction_budget_witness_is_first_largest_critical_point():
+    # Stage 1 picks the table entry, the indicator of [0, 3]; its critical set
+    # at stage 2 is {0, 1, 2, 3}.  Every stage-2 child is the default, which
+    # is 1/10 on [0, 1] and 1 on (1, 3], so the witness is 2, not 0.
+    space = interval(OMEGA)
+    first = indicator(OMEGA, ZERO, THREE)
+    default = StepFunction(OMEGA, (ONE, THREE, OMEGA), (Fraction(1, 10), Fraction(1), Fraction(0)))
+    table = {
+        "cutoff": 5,
+        "entries": [{"path": [0], "fn": step_function_to_json(first)}],
+        "default": step_function_to_json(default),
+    }
+    with pytest.raises(FamilyContractError) as info:
+        extract_small_combination(space, family_from_table(space, table), Fraction(1, 2))
+    err = info.value
+    assert err.path == (0,)
+    # reference: list the critical set and take the first point where
+    # |default| is largest
+    critical = phi(step_scale(first, Fraction(1, 4)), space, Fraction(1, 34))
+    points = finite_points(critical)
+    expected = max(points, key=lambda q: abs(value_at(default, q)))
+    assert points == (ZERO, ONE, TWO, THREE)
+    assert expected == TWO != points[0]
+    assert err.point == expected
+
+
+def test_extraction_never_lists_the_critical_set(monkeypatch):
+    def refuse(space):
+        raise AssertionError("finite_points called during extraction")
+
+    for module in (ordspace.topology, ordspace.grasberg, ordspace.szlenk, ordspace.trees):
+        monkeypatch.setattr(module, "finite_points", refuse, raising=False)
+    for text, delta in (("w", "1/2"), ("w^(2)*2", "1/2")):
+        space = interval(parse(text))
+        cert = extract_small_combination(space, marching_indicators(space), Fraction(delta))
+        assert cert.verify(space)
+
+
 def test_extraction_sandwich():
     space = interval(OMEGA)
     cert = extract_small_combination(space, marching_indicators(space), Fraction(1, 2))
@@ -283,3 +353,41 @@ def test_certificate_detects_tampering():
     )
     with pytest.raises(CertificateError):
         forged_block.verify(space)
+
+
+# --- behaviour lock -----------------------------------------------------------------
+
+
+def certificate_digest(cert):
+    payload = {
+        "certificate": cert.to_json(),
+        "final": step_function_to_json(cert.final),
+        "blocks": [step_function_to_json(block) for block in cert.blocks],
+    }
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+# (space, delta, ladder step, n, sha256 of the certificate JSON, final and
+# blocks); computed with the witness on every failed probe and step_add over the
+# sorted union of breakpoints, so any faster path must give the same bytes
+LOCKED_CERTIFICATES = [
+    ("w", "1/2", "1", 17, "6db47e695f753104497f055d57ed3c49e4cdec447f4240eddc198ce5c76bc7df"),
+    ("w^(2)*2", "1/2", "1", 33, "db5a363f3bb1be7f77dbd572b63fae0aa9e3478fcd75168464b03046a5086f31"),
+    ("w", "1/8", "1", 65, "4b0dc92cbbb67e340346ba99b971bf28a028b9fc4d9a30b14ee23de476984ca0"),
+    ("w^(2)*2", "1/4", "1", 65, "d5e9ec76bdf0977d9b1971850b19d99d09bc3ce1a0f2b916bd3c24432a7c2b9f"),
+    ("w^(3)", "1/2", "1", 65, "67dc9fa7a12e794bbf91e053ec2bd8a4d14c53e16ab0fe11437fd32c7fbec152"),
+    ("w+10000", "1/2", "100", 17, "2a101e6b28ebf3284839cffd9d6c19b738d48763ee4dea1bd51e34b34b3af379"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, delta, ladder, n, digest",
+    LOCKED_CERTIFICATES,
+    ids=[f"{text}-{delta}" for text, delta, *_ in LOCKED_CERTIFICATES],
+)
+def test_certificate_digest_locked(text, delta, ladder, n, digest):
+    space = interval(parse(text))
+    family = marching_indicators(space, step=parse(ladder))
+    cert = extract_small_combination(space, family, Fraction(delta))
+    assert cert.n == n
+    assert certificate_digest(cert) == digest

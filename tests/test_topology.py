@@ -26,6 +26,7 @@ from ordspace.topology import (
     Singleton,
     Stratum,
     cb_index,
+    clip_atom,
     contains,
     derivative,
     finite_points,
@@ -198,6 +199,21 @@ def test_max_stratum_exponent_certificate(lo, width):
     nu = max_stratum_exponent(lo, hi)
     assert roundup(lo, nu) <= hi
     assert roundup(lo, successor(nu)) > hi
+
+
+def test_clip_atom_to_piece():
+    five, nine = from_int(5), from_int(9)
+    single = Singleton(five)
+    assert clip_atom(single, None, five) == single
+    assert clip_atom(single, from_int(4), OMEGA, least=True) == five
+    assert clip_atom(single, five, OMEGA) is None
+    assert clip_atom(single, None, from_int(4), least=True) is None
+    multiples = Stratum(ZERO, mul_nat(OMEGA, 3), ONE)  # w, w*2, w*3
+    assert clip_atom(multiples, five, nine) == Stratum(five, nine, ONE)  # a window without points
+    assert clip_atom(multiples, five, nine, least=True) is None
+    assert clip_atom(multiples, five, mul_nat(OMEGA, 2), least=True) == OMEGA
+    assert clip_atom(multiples, OMEGA, OMEGA) is None
+    assert clip_atom(multiples, None, parse("w^(2)")) == multiples
 
 
 def test_empty_stratum_is_normalized_away():
