@@ -145,19 +145,27 @@ def shrink_step_function(f: StepFunction, still_failing, max_steps: int = 200) -
 # ---- input helpers ----------------------------------------------------------
 
 
+def _read_json(text: str):
+    """json.loads, turning input nested too deeply for the decoder into a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input nested too deeply") from None
+
+
 def _load_step_function(source: str) -> StepFunction:
     text = source
     if not source.lstrip().startswith("{"):
         with open(source, "r", encoding="utf-8") as handle:
             text = handle.read()
-    return step_function_from_json(json.loads(text))
+    return step_function_from_json(_read_json(text))
 
 
 def _load_tree(path: str):
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     if text.lstrip().startswith("{"):
-        return tree_from_json(json.loads(text))
+        return tree_from_json(_read_json(text))
     return tree_from_text(text)
 
 
@@ -165,7 +173,7 @@ def _load_family(space, name_or_path: str, ladder: Ordinal):
     if name_or_path == "marching-indicators":
         return marching_indicators(space, step=ladder)
     with open(name_or_path, "r", encoding="utf-8") as handle:
-        table = json.load(handle)
+        table = _read_json(handle.read())
     return family_from_table(space, table)
 
 

@@ -13,6 +13,7 @@ since the queen inequality can be attained with equality.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -53,7 +54,7 @@ class GrasbergParams:
     cb: Ordinal
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def params(space: ClosedSet) -> GrasbergParams:
     """Norm parameters of an infinite space; errors on finite spaces."""
     cb = cb_index(space)
@@ -65,7 +66,7 @@ def params(space: ClosedSet) -> GrasbergParams:
     return GrasbergParams(o=o, b=int(quotient), cb=cb)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def level_sets(space: ClosedSet) -> tuple[ClosedSet, ...]:
     """The derived sets K^(w^o * n) for n = 0..b."""
     p = params(space)
@@ -86,6 +87,10 @@ class StepFunction:
     Every such piece is clopen in the order topology (a jump can only sit at
     a successor), so the function is continuous.  Adjacent pieces with equal
     values are merged on construction, making the representation canonical.
+
+    Internal producers whose breakpoints are already strictly increasing and
+    end at the ambient, with Fraction values, pass _trusted=True: only the
+    merge then runs.
     """
 
     __slots__ = ("ambient", "breakpoints", "values", "_hash")
@@ -95,20 +100,22 @@ class StepFunction:
         ambient: Ordinal,
         breakpoints: Sequence[Ordinal],
         values: Sequence[Rational],
+        _trusted: bool = False,
     ):
-        if not breakpoints:
-            raise ValueError("a step function needs at least one piece")
-        if len(breakpoints) != len(values):
-            raise ValueError("breakpoints and values must have equal length")
-        if breakpoints[-1] != ambient:
-            raise ValueError("last breakpoint must equal the ambient ordinal")
-        for x, y in zip(breakpoints, breakpoints[1:]):
-            if compare(x, y) >= 0:
-                raise ValueError("breakpoints must be strictly increasing")
-        vals = [Fraction(v) for v in values]
+        if not _trusted:
+            if not breakpoints:
+                raise ValueError("a step function needs at least one piece")
+            if len(breakpoints) != len(values):
+                raise ValueError("breakpoints and values must have equal length")
+            if breakpoints[-1] != ambient:
+                raise ValueError("last breakpoint must equal the ambient ordinal")
+            for x, y in zip(breakpoints, breakpoints[1:]):
+                if compare(x, y) >= 0:
+                    raise ValueError("breakpoints must be strictly increasing")
+            values = [Fraction(v) for v in values]
         merged_b: list[Ordinal] = []
         merged_v: list[Fraction] = []
-        for bp, v in zip(breakpoints, vals):
+        for bp, v in zip(breakpoints, values):
             if merged_v and merged_v[-1] == v:
                 merged_b[-1] = bp
             else:
@@ -203,12 +210,12 @@ def step_add(f: StepFunction, g: StepFunction) -> StepFunction:
             i += 1
         if c >= 0:
             j += 1
-    return StepFunction(f.ambient, bps, values)
+    return StepFunction(f.ambient, bps, values, _trusted=True)
 
 
 def step_scale(f: StepFunction, c: Rational) -> StepFunction:
     c = Fraction(c)
-    return StepFunction(f.ambient, f.breakpoints, [c * v for v in f.values])
+    return StepFunction(f.ambient, f.breakpoints, [c * v for v in f.values], _trusted=True)
 
 
 def step_convex(coeffs: Sequence[Rational], fs: Sequence[StepFunction]) -> StepFunction:
@@ -447,7 +454,7 @@ def random_step_function(
     for _ in breakpoints:
         den = rng.randint(1, 8)
         values.append(lo_v + span * Fraction(rng.randint(0, den), den))
-    return StepFunction(ambient, breakpoints, values)
+    return StepFunction(ambient, breakpoints, values, _trusted=True)
 
 
 # ---- serialization ----------------------------------------------------------
@@ -463,8 +470,21 @@ def step_function_to_json(f: StepFunction) -> dict:
     }
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+
+
 def step_function_from_json(data: dict) -> StepFunction:
+    """Decode the v1 step-function JSON; values must be rational strings."""
+    if not isinstance(data, dict) or not isinstance(data.get("pieces"), list):
+        raise ValueError("step function JSON must be an object with a pieces array")
     ambient = ordinal_from_json(data["ambient"])
-    bps = [ordinal_from_json(piece["upTo"]) for piece in data["pieces"]]
-    vals = [Fraction(piece["value"]) for piece in data["pieces"]]
+    bps, vals = [], []
+    for piece in data["pieces"]:
+        if not isinstance(piece, dict):
+            raise ValueError("step function pieces must be objects")
+        value = piece["value"]
+        if not (isinstance(value, str) and _RATIONAL.fullmatch(value)):
+            raise ValueError(f"piece value must be a string like \"-3/4\", got {value!r}")
+        bps.append(ordinal_from_json(piece["upTo"]))
+        vals.append(Fraction(value))
     return StepFunction(ambient, bps, vals)

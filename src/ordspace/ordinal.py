@@ -11,14 +11,15 @@ Text notation (whitespace insignificant):
     term    := "w^(" ordinal ")" ("*" nat)? | "w" ("*" nat)? | nat
     nat     := [1-9][0-9]*
 
-"w" alone is accepted as shorthand for "w^(1)".  The formatter emits terms
-in strictly decreasing exponent order, writing "w" for the exponent-1 term
-and omitting "*1" coefficients, so formatting is canonical.
+"w" alone is accepted as shorthand for "w^(1)", and "w^(" may nest at most
+MAX_NESTING deep.  The formatter emits terms in strictly decreasing exponent
+order, writing "w" for the exponent-1 term and omitting "*1" coefficients,
+so formatting is canonical.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Iterable
 
 
 class ParseError(ValueError):
@@ -40,17 +41,7 @@ class Ordinal:
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: Iterable[tuple["Ordinal", int]] = ()):
-        terms = tuple(terms)
-        for exp, coeff in terms:
-            if not isinstance(exp, Ordinal) or not isinstance(coeff, int):
-                raise TypeError("terms must be (Ordinal, int) pairs")
-            if coeff < 1:
-                raise ValueError("coefficients must be >= 1")
-        for (e1, _), (e2, _) in zip(terms, terms[1:]):
-            if compare(e1, e2) <= 0:
-                raise ValueError("exponents must be strictly decreasing")
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", None)
+        _set_terms(self, _validated(terms))
 
     def __setattr__(self, name, value):
         raise AttributeError("Ordinal is immutable")
@@ -87,9 +78,14 @@ class Ordinal:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self.terms))
-        return self._hash
+        # _hash stays unset until first asked for: one slot write less per
+        # construction on the arithmetic hot path.
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self.terms)
+            _set_hash(self, h)
+            return h
 
     def __lt__(self, other: "Ordinal") -> bool:
         return compare(self, other) < 0
@@ -110,31 +106,58 @@ class Ordinal:
         return f"Ordinal({format_ordinal(self)!r})"
 
 
-OrdinalLike = Union[Ordinal, int, str]
+def _validated(terms: Iterable[tuple[Ordinal, int]]) -> tuple:
+    """The terms as a tuple, after checking that they are in CNF."""
+    terms = tuple(terms)
+    for exp, coeff in terms:
+        if not isinstance(exp, Ordinal) or type(coeff) is not int:
+            raise TypeError("terms must be (Ordinal, int) pairs")
+        if coeff < 1:
+            raise ValueError("coefficients must be >= 1")
+    for (e1, _), (e2, _) in zip(terms, terms[1:]):
+        if compare(e1, e2) <= 0:
+            raise ValueError("exponents must be strictly decreasing")
+    return terms
+
+
+_new = object.__new__
+_set_terms = Ordinal.terms.__set__
+_set_hash = Ordinal._hash.__set__
+
+# Exponents nest at most this deep in notation: w^(w^(...)) with at most
+# MAX_NESTING open "w^(".  It keeps the recursive compare, formatter and
+# encoders far from Python's recursion limit.
+MAX_NESTING = 100
+
+ZERO = Ordinal()
+# The naturals below _SMALL, built once: every small natural a constructor
+# below returns is one of these objects, so equal small exponents are
+# identical and compare stops at the identity check.
+_SMALL = 256
+_NATURALS = (ZERO,) + tuple(Ordinal(((ZERO, n),)) for n in range(1, _SMALL))
+ONE = _NATURALS[1]
+OMEGA = Ordinal(((ONE, 1),))
+
+
+def _trusted(terms: tuple) -> Ordinal:
+    """The Ordinal with these terms, which must already be in CNF; checks nothing."""
+    if not terms:
+        return ZERO
+    if len(terms) == 1:
+        e, c = terms[0]
+        if not e.terms and c < _SMALL:
+            return _NATURALS[c]
+    a = _new(Ordinal)
+    _set_terms(a, terms)
+    return a
 
 
 def from_int(n: int) -> Ordinal:
+    if type(n) is not int:
+        raise TypeError(f"cannot interpret {n!r} as a natural number")
     if n < 0:
         raise ValueError("ordinals are non-negative")
-    if n == 0:
-        return ZERO
-    return Ordinal(((ZERO, n),))
-
-
-def as_ordinal(value: OrdinalLike) -> Ordinal:
-    """Coerce an int or notation string to an Ordinal."""
-    if isinstance(value, Ordinal):
-        return value
-    if isinstance(value, int):
-        return from_int(value)
-    if isinstance(value, str):
-        return parse(value)
-    raise TypeError(f"cannot interpret {value!r} as an ordinal")
-
-
-ZERO = Ordinal()
-ONE = Ordinal(((ZERO, 1),))
-OMEGA = Ordinal(((ONE, 1),))
+    return _NATURALS[n] if n < _SMALL else _trusted(((ZERO, n),))
 
 
 def compare(a: Ordinal, b: Ordinal) -> int:
@@ -143,10 +166,13 @@ def compare(a: Ordinal, b: Ordinal) -> int:
     Lexicographic on the CNF term sequence, comparing exponents first,
     then coefficients; a proper prefix is smaller.
     """
+    if a is b:
+        return 0
     for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        c = compare(ea, eb)
-        if c != 0:
-            return c
+        if ea is not eb:
+            c = compare(ea, eb)
+            if c != 0:
+                return c
         if ca != cb:
             return -1 if ca < cb else 1
     if len(a.terms) == len(b.terms):
@@ -156,34 +182,38 @@ def compare(a: Ordinal, b: Ordinal) -> int:
 
 def add(a: Ordinal, b: Ordinal) -> Ordinal:
     """Ordinal sum a + b (non-commutative, absorbs small left terms)."""
-    if b.is_zero():
+    if not b.terms:
         return a
-    eb = b.terms[0][0]
-    kept = [t for t in a.terms if compare(t[0], eb) > 0]
-    merged = list(b.terms)
-    if len(kept) < len(a.terms) and compare(a.terms[len(kept)][0], eb) == 0:
-        merged[0] = (eb, a.terms[len(kept)][1] + b.terms[0][1])
-    return Ordinal(kept + merged)
+    eb, cb = b.terms[0]
+    for i, (ea, ca) in enumerate(a.terms):
+        c = compare(ea, eb)
+        if c < 0:
+            return _trusted(a.terms[:i] + b.terms)
+        if c == 0:
+            return _trusted(a.terms[:i] + ((eb, ca + cb),) + b.terms[1:])
+    return _trusted(a.terms + b.terms)
 
 
 def mul_nat(a: Ordinal, k: int) -> Ordinal:
     """Ordinal product a * k for a natural k >= 1."""
+    if type(k) is not int:
+        raise TypeError("k must be an int")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if a.is_zero():
+    if not a.terms:
         return ZERO
     (e0, c0), tail = a.terms[0], a.terms[1:]
-    return Ordinal(((e0, c0 * k),) + tail)
+    return _trusted(((e0, c0 * k),) + tail)
 
 
 def omega_pow(a: Ordinal) -> Ordinal:
     """w^a as a single-term CNF ordinal."""
-    return Ordinal(((a, 1),))
+    return _trusted(((a, 1),))
 
 
 def omega_mul(mu: Ordinal, x: Ordinal) -> Ordinal:
     """Left product w^mu * x; shifts every CNF exponent of x up by mu."""
-    return Ordinal(tuple((add(mu, e), c) for e, c in x.terms))
+    return _trusted(tuple([(add(mu, e), c) for e, c in x.terms]))
 
 
 def leading_exponent(a: Ordinal) -> Ordinal:
@@ -208,8 +238,8 @@ def predecessor(a: Ordinal) -> Ordinal:
         raise ValueError(f"{a} is not a successor ordinal")
     head, (_, c) = a.terms[:-1], a.terms[-1]
     if c == 1:
-        return Ordinal(head)
-    return Ordinal(head + ((ZERO, c - 1),))
+        return _trusted(head)
+    return _trusted(head + ((ZERO, c - 1),))
 
 
 def left_subtract(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -223,9 +253,9 @@ def left_subtract(a: Ordinal, b: Ordinal) -> Ordinal:
     if c < 0:
         return b  # a is absorbed entirely
     if ca < cb:
-        return Ordinal(((eb, cb - ca),) + b.terms[1:])
+        return _trusted(((eb, cb - ca),) + b.terms[1:])
     # equal head terms: recurse on the tails
-    return left_subtract(Ordinal(a.terms[1:]), Ordinal(b.terms[1:]))
+    return left_subtract(_trusted(a.terms[1:]), _trusted(b.terms[1:]))
 
 
 def divide_by_omega_pow(g: Ordinal, mu: Ordinal) -> tuple[Ordinal, Ordinal]:
@@ -241,7 +271,7 @@ def divide_by_omega_pow(g: Ordinal, mu: Ordinal) -> tuple[Ordinal, Ordinal]:
             quot.append((left_subtract(mu, e), c))
         else:
             rem.append((e, c))
-    return Ordinal(quot), Ordinal(rem)
+    return _trusted(tuple(quot)), _trusted(tuple(rem))
 
 
 def tower_index(z: Ordinal) -> Ordinal:
@@ -271,6 +301,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -296,7 +327,7 @@ class _Parser:
         for (e1, _, _), (e2, _, pos2) in zip(terms, terms[1:]):
             if compare(e1, e2) <= 0:
                 raise ParseError("exponents must be strictly decreasing", pos2)
-        return Ordinal((e, c) for e, c, _ in terms)
+        return _trusted(tuple([(e, c) for e, c, _ in terms]))
 
     def parse_term(self) -> tuple[Ordinal, int, int]:
         start = self.pos
@@ -306,7 +337,11 @@ class _Parser:
             if self.peek() == "^":
                 self.pos += 1
                 self.expect("(")
+                self.depth += 1
+                if self.depth > MAX_NESTING:
+                    raise ParseError(f"exponents nested deeper than {MAX_NESTING}", self.pos)
                 exponent = self.parse_ordinal()
+                self.depth -= 1
                 self.expect(")")
             else:
                 exponent = ONE
@@ -352,22 +387,26 @@ def to_json(a: Ordinal) -> list:
     return [[to_json(e), c] for e, c in a.terms]
 
 
-def from_json(data) -> Ordinal:
+def from_json(data, _depth: int = 0) -> Ordinal:
+    """Decode and validate; exponents may nest MAX_NESTING + 2 arrays deep,
+    since the JSON spells out the exponents 1 of w and 0 of a natural."""
     if not isinstance(data, list):
         raise ValueError("ordinal JSON must be an array")
+    if _depth > MAX_NESTING + 2:
+        raise ValueError(f"ordinal JSON exponents nested deeper than {MAX_NESTING + 2}")
     terms = []
     for item in data:
-        if not (isinstance(item, list) and len(item) == 2 and isinstance(item[1], int)):
-            raise ValueError("ordinal JSON terms must be [exponent, coefficient]")
-        terms.append((from_json(item[0]), item[1]))
-    return Ordinal(terms)
+        if not (isinstance(item, list) and len(item) == 2 and type(item[1]) is int):
+            raise ValueError("ordinal JSON terms must be [exponent, integer coefficient]")
+        terms.append((from_json(item[0], _depth + 1), item[1]))
+    return _trusted(_validated(terms))
 
 
 def validate(a: Ordinal) -> None:
     """Assert the CNF invariants recursively; for tests."""
     for e, c in a.terms:
-        if c < 1:
-            raise AssertionError("coefficient below 1")
+        if type(c) is not int or c < 1:
+            raise AssertionError("coefficient not an int >= 1")
         validate(e)
     for (e1, _), (e2, _) in zip(a.terms, a.terms[1:]):
         if compare(e1, e2) <= 0:

@@ -310,6 +310,55 @@ def test_parse_error_is_exit_2_with_position():
     assert "position 3" in out
 
 
+def one_line_error(out):
+    return out.startswith("error: ") and out.count("\n") == 1 and "Traceback" not in out
+
+
+def nested_json_ordinal(depth):
+    """The ordinal JSON text of w^(w^(...w^(0)...)) with depth nested exponents,
+    written out directly since json.dumps itself cannot nest that deep."""
+    return "[[" * depth + "[]" + ",1]]" * depth
+
+
+def fn_json(ambient, pieces=None):
+    if pieces is None:
+        pieces = [{"upTo": ambient, "value": "1"}]
+    return json.dumps({"ambient": ambient, "pieces": pieces})
+
+
+def test_deeply_nested_notation_is_exit_2():
+    deep = "w^(" * 3000 + "1" + ")" * 3000
+    code, out = cap(["cb", deep])
+    assert code == 2
+    assert one_line_error(out) and "nested deeper" in out and "position" in out
+
+
+@pytest.mark.parametrize("depth", [150, 3000])
+def test_deeply_nested_json_ordinal_is_exit_1(depth):
+    ambient = nested_json_ordinal(depth)
+    fn = f'{{"ambient": {ambient}, "pieces": [{{"upTo": {ambient}, "value": "1"}}]}}'
+    code, out = cap(["grasberg", "norm", "--space", "w", "--fn", fn])
+    assert code == 1
+    assert one_line_error(out) and "nested" in out
+
+
+def test_bool_coefficient_is_exit_1():
+    code, out = cap(["grasberg", "norm", "--space", "w", "--fn", fn_json([[[[[], 1]], True]])])
+    assert code == 1
+    assert one_line_error(out)
+
+
+@pytest.mark.parametrize(
+    "pieces",
+    [[{"upTo": [[[[[], 1]], 1]], "value": 0.1}], "abc", ["abc"]],
+    ids=["float-value", "string-pieces", "string-piece"],
+)
+def test_malformed_step_function_is_exit_1(pieces):
+    code, out = cap(["grasberg", "norm", "--space", "w", "--fn", fn_json([[[[[], 1]], 1]], pieces)])
+    assert code == 1
+    assert one_line_error(out)
+
+
 def test_unknown_command_is_exit_2():
     code, _ = cap(["nope"])
     assert code == 2

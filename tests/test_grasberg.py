@@ -332,6 +332,25 @@ def test_step_convex_matches_value_at_reference(space, seeds, weights):
     assert step_convex(coeffs, fs) == reference_step_convex(coeffs, fs)
 
 
+@given(
+    st.sampled_from(FUZZ_SPACES),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(3, 7), Fraction(5, 2)]),
+)
+def test_trusted_step_functions_match_the_validating_constructor(space, seed_a, seed_b, c):
+    """Outputs built without validation equal their validated rebuild."""
+    f = random_step_function(space, seed_a, max_pieces=8)
+    g = random_step_function(space, seed_b, max_pieces=8)
+    outputs = [f, step_add(f, g), step_scale(f, c), step_scale(f, -c)]
+    outputs.append(step_convex([c / (1 + c), 1 / (1 + c)], [f, g]))
+    for h in outputs:
+        rebuilt = StepFunction(h.ambient, h.breakpoints, h.values)
+        assert rebuilt == h
+        assert rebuilt.breakpoints == h.breakpoints and rebuilt.values == h.values
+        assert all(type(v) is Fraction for v in h.values)
+
+
 def test_step_add_rejects_ambient_mismatch():
     with pytest.raises(ValueError):
         step_add(constant(OMEGA, 1), constant(OMEGA_SQ, 1))

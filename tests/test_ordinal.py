@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ordspace.ordinal import (
+    MAX_NESTING,
     OMEGA,
     ONE,
     ZERO,
@@ -359,3 +360,52 @@ def test_from_json_rejects_denormalized():
         from_json([[[], 1], [[], 1]])  # duplicate exponent 0
     with pytest.raises(ValueError):
         from_json([[[], 0]])  # zero coefficient
+    with pytest.raises(ValueError):
+        from_json([[[], True]])  # a bool is not a coefficient
+
+
+def test_nesting_depth_is_bounded():
+    depth = MAX_NESTING
+    assert parse("w^(" * depth + "2" + ")" * depth) is not None
+    too_deep = "w^(" * (depth + 1) + "2" + ")" * (depth + 1)
+    with pytest.raises(ParseError, match=f"position {3 * (depth + 1)}"):
+        parse(too_deep)
+    deepest = parse("w^(" * depth + "w" + ")" * depth)
+    assert from_json(to_json(deepest)) == deepest
+    with pytest.raises(ValueError, match="nested deeper"):
+        from_json(to_json(omega_pow(deepest)))
+
+
+# --- trusted constructors ----------------------------------------------------
+
+
+@given(ordinals, ordinals, st.integers(min_value=1, max_value=5))
+def test_trusted_results_are_canonical(a, b, k):
+    results = [add(a, b), mul_nat(a, k), omega_mul(a, b), *divide_by_omega_pow(a, b)]
+    if compare(a, b) <= 0:
+        results.append(left_subtract(a, b))
+    if a.is_successor():
+        results.append(predecessor(a))
+    for result in results:
+        validate(result)
+        assert Ordinal(result.terms) == result
+
+
+def test_small_naturals_are_shared():
+    for n in (1, 2, 7, 255):
+        assert from_int(n) is from_int(n)
+        assert add(from_int(n - 1), ONE) is from_int(n)
+    assert parse("w^(2)").terms[0][0] is from_int(2)
+    assert from_json([[[], 3]]) is from_int(3)
+    assert predecessor(from_int(4)) is from_int(3)
+    assert from_int(256) == Ordinal(((ZERO, 256),))
+
+
+def test_constructors_reject_non_int_naturals():
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(TypeError):
+            from_int(bad)
+        with pytest.raises(TypeError):
+            mul_nat(ONE, bad)
+        with pytest.raises(TypeError):
+            Ordinal(((ZERO, bad),))
