@@ -283,10 +283,7 @@ def _cmd_check(args) -> int:
 
     if failure is None:
         text = f"{passes}/{args.trials} " + _paint("pass", "32")
-        if args.json:
-            print(json.dumps({"trials": args.trials, "passes": passes, "pass": True}))
-        else:
-            print(text)
+        _emit(args, text, {"trials": args.trials, "passes": passes, "pass": True})
         return 0
 
     lemma, f, g, eps = failure
@@ -353,12 +350,12 @@ def _cmd_extract(args) -> int:
     certificate = extract_small_combination(
         space, family, Fraction(args.delta), max_probes=args.budget
     )
-    if args.json:
-        print(json.dumps(certificate.to_json()))
-    else:
-        print(f"n={certificate.n} eps={certificate.eps}")
-        print(f"branch={list(certificate.branch[-1])}")
-        print(f"finalNorm={certificate.final_norm} < delta={certificate.delta}")
+    text = (
+        f"n={certificate.n} eps={certificate.eps}\n"
+        f"branch={list(certificate.branch[-1])}\n"
+        f"finalNorm={certificate.final_norm} < delta={certificate.delta}"
+    )
+    _emit(args, text, certificate.to_json())
     return 0
 
 
@@ -481,10 +478,7 @@ def run(argv) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError, OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FamilyContractError as exc:
+    except (ValueError, ZeroDivisionError, OSError, KeyError, FamilyContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

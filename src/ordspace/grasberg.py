@@ -129,6 +129,9 @@ class StepFunction:
     def __setattr__(self, name, value):
         raise AttributeError("StepFunction is immutable")
 
+    def __reduce__(self):
+        return StepFunction, (self.ambient, self.breakpoints, self.values)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, StepFunction):
             return NotImplemented

@@ -46,6 +46,9 @@ class Ordinal:
     def __setattr__(self, name, value):
         raise AttributeError("Ordinal is immutable")
 
+    def __reduce__(self):
+        return Ordinal, (self.terms,)
+
     # ---- structural predicates ------------------------------------------
 
     def is_zero(self) -> bool:

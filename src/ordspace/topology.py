@@ -12,6 +12,7 @@ level mu + xi, with set intersections realizing the limit stages exactly.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -134,6 +135,9 @@ class ClosedSet:
     def __setattr__(self, name, value):
         raise AttributeError("ClosedSet is immutable")
 
+    def __reduce__(self):
+        return ClosedSet, (self.ambient, self.atoms)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClosedSet):
             return NotImplemented
@@ -146,6 +150,12 @@ class ClosedSet:
 
     def __repr__(self) -> str:
         return f"ClosedSet(ambient={format_ordinal(self.ambient)}, {format_closed_set(self)})"
+
+
+def _holder(run: list[Stratum], g: Ordinal) -> Optional[Stratum]:
+    """The window of a run (disjoint windows sorted by lo) with lo < g <= hi, if any."""
+    i = bisect_left(run, g, key=lambda s: s.lo) - 1
+    return run[i] if i >= 0 and compare(g, run[i].hi) <= 0 else None
 
 
 def _normalize(ambient: Ordinal, atoms: Iterable[Atom]) -> tuple[Atom, ...]:
@@ -166,40 +176,25 @@ def _normalize(ambient: Ordinal, atoms: Iterable[Atom]) -> tuple[Atom, ...]:
         else:
             raise TypeError(f"not an atom: {atom!r}")
 
-    # merge same-level strata with overlapping or abutting windows
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(strata)):
-            for j in range(i + 1, len(strata)):
-                a, b = strata[i], strata[j]
-                if a.mu != b.mu:
-                    continue
-                if compare(a.hi, b.lo) < 0 or compare(b.hi, a.lo) < 0:
-                    continue
-                lo = a.lo if compare(a.lo, b.lo) <= 0 else b.lo
-                hi = a.hi if compare(a.hi, b.hi) >= 0 else b.hi
-                strata[i] = Stratum(lo, hi, a.mu)
-                del strata[j]
-                changed = True
-                break
-            if changed:
-                break
+    # merge same-level strata whose windows overlap or abut, one sweep per level
+    strata.sort(key=lambda s: (s.mu, s.lo))
+    runs: list[list[Stratum]] = []  # per level: disjoint windows sorted by lo
+    for s in strata:
+        last = runs[-1][-1] if runs else None
+        if last is None or last.mu != s.mu:
+            runs.append([s])
+        elif compare(s.lo, last.hi) > 0:
+            runs[-1].append(s)
+        elif compare(s.hi, last.hi) > 0:
+            runs[-1][-1] = Stratum(last.lo, s.hi, s.mu)
 
-    # drop strata whose points all lie in a coarser stratum
+    # drop strata whose window lies in a window of a strictly coarser level
     kept: list[Stratum] = []
-    for i, s in enumerate(strata):
-        covered = any(
-            k != i
-            and compare(o.lo, s.lo) <= 0
-            and compare(s.hi, o.hi) <= 0
-            and compare(o.mu, s.mu) <= 0
-            and not (o.lo == s.lo and o.hi == s.hi and o.mu == s.mu and k > i)
-            for k, o in enumerate(strata)
-            if k != i
-        )
-        if not covered:
-            kept.append(s)
+    for depth, run in enumerate(runs):
+        for s in run:
+            holders = (_holder(coarser, s.hi) for coarser in runs[:depth])
+            if not any(o is not None and compare(o.lo, s.lo) <= 0 for o in holders):
+                kept.append(s)
 
     # rewrite one-point strata as singletons
     final_strata: list[Stratum] = []
@@ -242,12 +237,7 @@ def is_empty(space: ClosedSet) -> bool:
 
 def derivative(space: ClosedSet) -> ClosedSet:
     """Cantor-Bendixson derivative: the points that are limits of the set."""
-    atoms = [
-        Stratum(a.lo, a.hi, add(a.mu, ONE))
-        for a in space.atoms
-        if isinstance(a, Stratum)
-    ]
-    return ClosedSet(space.ambient, atoms)
+    return iterated_derivative(space, ONE)
 
 
 def iterated_derivative(space: ClosedSet, xi: Ordinal) -> ClosedSet:
@@ -272,12 +262,7 @@ def atom_height(atom: Atom) -> Ordinal:
 
 def cb_index(space: ClosedSet) -> Ordinal:
     """Least xi with the xi-th derivative empty; 0 for the empty set."""
-    best = ZERO
-    for atom in space.atoms:
-        h = atom_height(atom)
-        if compare(h, best) > 0:
-            best = h
-    return best
+    return max((atom_height(atom) for atom in space.atoms), default=ZERO)
 
 
 def finite_points(space: ClosedSet) -> Optional[tuple[Ordinal, ...]]:

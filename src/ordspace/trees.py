@@ -67,6 +67,9 @@ class FiniteTree:
     def __setattr__(self, name, value):
         raise AttributeError("FiniteTree is immutable")
 
+    def __reduce__(self):
+        return FiniteTree, (self._parent,)
+
     @property
     def nodes(self) -> tuple[Node, ...]:
         return tuple(self._parent)
@@ -239,13 +242,26 @@ def tree_to_json(tree: FiniteTree) -> dict:
     }
 
 
+def _is_node_id(value) -> bool:
+    return isinstance(value, str) or type(value) is int
+
+
 def tree_from_json(data: dict) -> FiniteTree:
+    """Decode the v1 tree JSON; ids are strings or integers, parents ids or null."""
+    if not isinstance(data, dict) or not isinstance(data.get("nodes"), list):
+        raise ValueError("tree JSON must be an object with a nodes array")
     entries: dict[Node, Optional[Node]] = {}
     for item in data["nodes"]:
-        node = item["id"]
+        if not isinstance(item, dict):
+            raise ValueError("tree nodes must be objects")
+        node, par = item.get("id"), item.get("parent")
+        if not _is_node_id(node):
+            raise ValueError(f"node id must be a string or an integer, got {node!r}")
+        if par is not None and not _is_node_id(par):
+            raise ValueError(f"parent of {node!r} must be a node id or null, got {par!r}")
         if node in entries:
             raise ValueError(f"duplicate node {node!r}")
-        entries[node] = item.get("parent")
+        entries[node] = par
     return FiniteTree(entries)
 
 

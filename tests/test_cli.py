@@ -359,6 +359,24 @@ def test_malformed_step_function_is_exit_1(pieces):
     assert one_line_error(out)
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"nodes": [{"id": [1], "parent": None}]},
+        {"nodes": [{"id": "a", "parent": None}, {"id": "b", "parent": ["a"]}]},
+        {"nodes": "abc"},
+        {"nodes": [{"id": True, "parent": None}]},
+    ],
+    ids=["list-id", "list-parent", "string-nodes", "bool-id"],
+)
+def test_malformed_tree_is_exit_1(tmp_path, payload):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(payload))
+    code, out = cap(["tree", "rank", "--file", str(path)])
+    assert code == 1
+    assert one_line_error(out)
+
+
 def test_unknown_command_is_exit_2():
     code, _ = cap(["nope"])
     assert code == 2

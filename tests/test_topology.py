@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordspace.ordinal import (
@@ -11,6 +11,7 @@ from ordspace.ordinal import (
     ONE,
     ZERO,
     add,
+    compare,
     divide_by_omega_pow,
     from_int,
     last_exponent,
@@ -37,6 +38,7 @@ from ordspace.topology import (
     iterated_derivative,
     max_stratum_exponent,
     roundup,
+    stratum_nonempty,
     to_json,
 )
 
@@ -338,6 +340,122 @@ def test_stratum_requires_lo_below_hi():
 def test_atoms_must_fit_ambient():
     with pytest.raises(ValueError):
         ClosedSet(ONE, [Singleton(OMEGA)])
+
+
+def reference_normalize(ambient, atoms):
+    """The earlier normalization: a merge that restarts after every merge, then
+    an all-pairs cover scan.  Kept as the reference the sort-and-sweep must match."""
+
+    def sort_key(atom):
+        if isinstance(atom, Singleton):
+            return (atom.point, atom.point, ZERO, 0)
+        return (atom.lo, atom.hi, atom.mu, 1)
+
+    def stratum_contains(s, g):
+        if compare(g, s.lo) <= 0 or compare(g, s.hi) > 0:
+            return False
+        return divide_by_omega_pow(g, s.mu)[1].is_zero()
+
+    singles = set()
+    strata = []
+    for atom in atoms:
+        if isinstance(atom, Singleton):
+            singles.add(atom.point)
+        elif stratum_nonempty(atom.lo, atom.hi, atom.mu):
+            strata.append(atom)
+
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(strata)):
+            for j in range(i + 1, len(strata)):
+                a, b = strata[i], strata[j]
+                if a.mu != b.mu:
+                    continue
+                if compare(a.hi, b.lo) < 0 or compare(b.hi, a.lo) < 0:
+                    continue
+                lo = a.lo if compare(a.lo, b.lo) <= 0 else b.lo
+                hi = a.hi if compare(a.hi, b.hi) >= 0 else b.hi
+                strata[i] = Stratum(lo, hi, a.mu)
+                del strata[j]
+                changed = True
+                break
+            if changed:
+                break
+
+    kept = []
+    for i, s in enumerate(strata):
+        covered = any(
+            k != i
+            and compare(o.lo, s.lo) <= 0
+            and compare(s.hi, o.hi) <= 0
+            and compare(o.mu, s.mu) <= 0
+            and not (o.lo == s.lo and o.hi == s.hi and o.mu == s.mu and k > i)
+            for k, o in enumerate(strata)
+            if k != i
+        )
+        if not covered:
+            kept.append(s)
+
+    final_strata = []
+    for s in kept:
+        first = roundup(s.lo, s.mu)
+        if compare(add(first, omega_pow(s.mu)), s.hi) > 0:
+            singles.add(first)
+        else:
+            final_strata.append(s)
+
+    points = [p for p in singles if not any(stratum_contains(s, p) for s in final_strata)]
+    result = [Singleton(p) for p in points]
+    result.extend(final_strata)
+    result.sort(key=sort_key)
+    return tuple(result)
+
+
+# Window endpoints from a small pool, so that drawn windows overlap, abut and
+# nest; levels 0, 1, 2 and w; singletons on the pool and off it (3, w+7,
+# w*2+5), some inside strata and some outside.
+ENDPOINTS = [
+    parse(t)
+    for t in (
+        "0", "1", "2", "5", "w", "w+1", "w+2", "w*2", "w*2+1", "w*3",
+        "w^(2)", "w^(2)+w", "w^(2)*2", "w^(2)*2+w", "w^(w)",
+    )
+]
+LEVELS = [ZERO, ONE, TWO, OMEGA]
+POOL_AMBIENT = ENDPOINTS[-1]
+POINTS = ENDPOINTS + [parse(t) for t in ("3", "w+7", "w*2+5")]
+
+
+@st.composite
+def pooled_stratum(draw):
+    indices = st.integers(min_value=0, max_value=len(ENDPOINTS) - 1)
+    i, j = sorted(draw(st.lists(indices, min_size=2, max_size=2, unique=True)))
+    return Stratum(ENDPOINTS[i], ENDPOINTS[j], draw(st.sampled_from(LEVELS)))
+
+
+raw_atom_lists = st.lists(
+    st.one_of(pooled_stratum(), st.sampled_from(POINTS).map(Singleton)),
+    max_size=12,
+)
+
+
+@settings(max_examples=500)
+@given(raw_atom_lists)
+def test_normalize_matches_reference(atoms):
+    assert ClosedSet(POOL_AMBIENT, atoms).atoms == reference_normalize(POOL_AMBIENT, atoms)
+
+
+@given(raw_atom_lists, st.data())
+def test_normalize_ignores_input_order(atoms, data):
+    shuffled = data.draw(st.permutations(atoms))
+    assert ClosedSet(POOL_AMBIENT, shuffled).atoms == ClosedSet(POOL_AMBIENT, atoms).atoms
+
+
+@given(raw_atom_lists)
+def test_normalize_is_idempotent(atoms):
+    s = ClosedSet(POOL_AMBIENT, atoms)
+    assert ClosedSet(s.ambient, s.atoms).atoms == s.atoms
 
 
 # --- JSON --------------------------------------------------------------------

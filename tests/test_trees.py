@@ -1,5 +1,7 @@
 """Tests for finite tree machinery and the weakly-null family contract."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,8 +9,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ordspace.grasberg import constant, step_function_to_json, sup_on, value_at
-from ordspace.ordinal import OMEGA, ONE, ZERO, from_int, mul_nat
+from ordspace.grasberg import (
+    constant,
+    random_step_function,
+    step_function_to_json,
+    sup_on,
+    value_at,
+)
+from ordspace.ordinal import OMEGA, ONE, ZERO, from_int, mul_nat, parse
 from ordspace.topology import interval
 from ordspace.trees import (
     EMPTY_TREE,
@@ -265,6 +273,20 @@ def test_json_round_trip():
     data = tree_to_json(t)
     assert set(data) == {"nodes"}
     assert tree_from_json(data) == t
+
+
+def test_immutable_types_copy_and_pickle():
+    space = interval(parse("w^(2)*2+3"))
+    values = [
+        parse("w^(w+1)*3+w+5"),
+        space,
+        random_step_function(space, 7),
+        FiniteTree({"a": None, 1: "a", 2: 1}),
+    ]
+    for value in values:
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value)
+            assert twin == value and hash(twin) == hash(value)
 
 
 # --- weakly-null families --------------------------------------------------------
