@@ -3,6 +3,10 @@
 Every subcommand wraps exactly one library operation and supports --json.
 Exit codes: 0 success, 1 domain error (library ValueError and friends),
 2 usage error (bad flags or an unparseable ordinal, with its position).
+
+Start-up is most of a command's cost, so this module imports only the
+ordinal layer, which parses every argument.  A handler parses its ordinals
+first and then imports the layers it uses, inside the handler.
 """
 
 from __future__ import annotations
@@ -10,10 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
-from fractions import Fraction
-from importlib import resources
 
 from .ordinal import (
     Ordinal,
@@ -27,37 +28,6 @@ from .ordinal import (
     parse,
     to_json as ordinal_to_json,
 )
-from .topology import (
-    cb_index,
-    format_closed_set,
-    interval,
-    iterated_derivative,
-    to_json as closed_set_to_json,
-)
-from .grasberg import (
-    StepFunction,
-    check_king,
-    check_queen,
-    params,
-    grasberg_norm,
-    phi,
-    random_step_function,
-    step_function_from_json,
-    step_function_to_json,
-    step_scale,
-    sup_on,
-)
-from .trees import (
-    FamilyContractError,
-    check_fact_i,
-    check_fact_ii,
-    family_from_table,
-    marching_indicators,
-    rank,
-    tree_from_json,
-    tree_from_text,
-)
-from .szlenk import extract_small_combination, index_of_CK
 
 
 def _color_enabled() -> bool:
@@ -87,6 +57,10 @@ def shrink_step_function(f: StepFunction, still_failing, max_steps: int = 200) -
     values toward 0 (zeroing, integer truncation, halving), keeping every
     change only while the failure persists.
     """
+    from fractions import Fraction
+
+    from .grasberg import StepFunction
+
     steps = 0
     improved = True
     while improved and steps < max_steps:
@@ -153,7 +127,9 @@ def _read_json(text: str):
         raise ValueError("JSON input nested too deeply") from None
 
 
-def _load_step_function(source: str) -> StepFunction:
+def _load_step_function(source: str):
+    from .grasberg import step_function_from_json
+
     text = source
     if not source.lstrip().startswith("{"):
         with open(source, "r", encoding="utf-8") as handle:
@@ -162,6 +138,8 @@ def _load_step_function(source: str) -> StepFunction:
 
 
 def _load_tree(path: str):
+    from .trees import tree_from_json, tree_from_text
+
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     if text.lstrip().startswith("{"):
@@ -170,6 +148,8 @@ def _load_tree(path: str):
 
 
 def _load_family(space, name_or_path: str, ladder: Ordinal):
+    from .trees import family_from_table, marching_indicators
+
     if name_or_path == "marching-indicators":
         return marching_indicators(space, step=ladder)
     with open(name_or_path, "r", encoding="utf-8") as handle:
@@ -204,27 +184,44 @@ def _cmd_ord(args) -> int:
 
 
 def _cmd_cb(args) -> int:
-    value = cb_index(interval(parse(args.ordinal)))
+    z = parse(args.ordinal)
+    from .topology import cb_index, interval
+
+    value = cb_index(interval(z))
     _emit(args, format_ordinal(value), ordinal_to_json(value))
     return 0
 
 
 def _cmd_derive(args) -> int:
-    space = interval(parse(args.ordinal))
-    derived = iterated_derivative(space, parse(args.times))
+    z, times = parse(args.ordinal), parse(args.times)
+    from .topology import format_closed_set, interval, iterated_derivative
+    from .topology import to_json as closed_set_to_json
+
+    derived = iterated_derivative(interval(z), times)
     _emit(args, format_closed_set(derived), closed_set_to_json(derived))
     return 0
 
 
 def _cmd_szlenk(args) -> int:
-    result = index_of_CK(interval(parse(args.ordinal)))
+    z = parse(args.ordinal)
+    from .szlenk import index_of_CK
+    from .topology import interval
+
+    result = index_of_CK(interval(z))
     text = f"CB={format_ordinal(result.cb)}, Sz(C(K))={format_ordinal(result.index)}"
     _emit(args, text, result.to_json())
     return 0
 
 
 def _cmd_grasberg(args) -> int:
-    space = interval(parse(args.space))
+    z = parse(args.space)
+    from fractions import Fraction
+
+    from .grasberg import grasberg_norm, params, phi
+    from .topology import format_closed_set, interval
+    from .topology import to_json as closed_set_to_json
+
+    space = interval(z)
     if args.grasberg_op == "params":
         p = params(space)
         text = f"o={format_ordinal(p.o)}, b={p.b}, CB={format_ordinal(p.cb)}"
@@ -241,18 +238,28 @@ def _cmd_grasberg(args) -> int:
     return 0
 
 
-def _check_king_trial(space, trial_seed: int, max_pieces: int):
-    f = random_step_function(space, 3 * trial_seed, max_pieces=max_pieces)
+def _trial_eps(trial_seed: int):
+    import random
+    from fractions import Fraction
+
     rng = random.Random(3 * trial_seed + 2)
-    eps = Fraction(rng.randint(1, 40), 20)
+    return Fraction(rng.randint(1, 40), 20)
+
+
+def _check_king_trial(space, trial_seed: int, max_pieces: int):
+    from .grasberg import check_king, random_step_function
+
+    f = random_step_function(space, 3 * trial_seed, max_pieces=max_pieces)
+    eps = _trial_eps(trial_seed)
     return f, eps, check_king(f, space, eps)
 
 
 def _check_queen_trial(space, trial_seed: int, max_pieces: int):
+    from .grasberg import check_queen, params, phi, random_step_function, step_scale, sup_on
+
     f = random_step_function(space, 3 * trial_seed, max_pieces=max_pieces)
     g = random_step_function(space, 3 * trial_seed + 1, max_pieces=max_pieces)
-    rng = random.Random(3 * trial_seed + 2)
-    eps = Fraction(rng.randint(1, 40), 20)
+    eps = _trial_eps(trial_seed)
     cap = eps / 2 ** params(space).b
     spread = sup_on(g, phi(f, space, eps))
     if spread > cap:
@@ -261,7 +268,13 @@ def _check_queen_trial(space, trial_seed: int, max_pieces: int):
 
 
 def _cmd_check(args) -> int:
-    space = interval(parse(args.space))
+    z = parse(args.space)
+    if args.trials < 0:
+        raise ValueError("trials must be >= 0")
+    from .grasberg import check_king, check_queen, step_function_to_json
+    from .topology import interval
+
+    space = interval(z)
     passes = 0
     failure = None
     for i in range(args.trials):
@@ -319,6 +332,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_tree(args) -> int:
+    from .trees import check_fact_i, check_fact_ii, rank
+
     tree = _load_tree(args.file)
     r = rank(tree)
     if args.tree_op == "rank":
@@ -345,11 +360,21 @@ def _cmd_tree(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    space = interval(parse(args.space))
-    family = _load_family(space, args.family, parse(args.ladder))
-    certificate = extract_small_combination(
-        space, family, Fraction(args.delta), max_probes=args.budget
-    )
+    z, ladder = parse(args.space), parse(args.ladder)
+    from fractions import Fraction
+
+    from .szlenk import extract_small_combination
+    from .topology import interval
+    from .trees import FamilyContractError
+
+    space = interval(z)
+    family = _load_family(space, args.family, ladder)
+    try:
+        certificate = extract_small_combination(
+            space, family, Fraction(args.delta), max_probes=args.budget
+        )
+    except FamilyContractError as exc:
+        raise ValueError(str(exc)) from None
     text = (
         f"n={certificate.n} eps={certificate.eps}\n"
         f"branch={list(certificate.branch[-1])}\n"
@@ -360,6 +385,8 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_schema(args) -> int:
+    from importlib import resources
+
     root = resources.files("ordspace") / "schema" / "v1"
     names = sorted(entry.name for entry in root.iterdir() if entry.name.endswith(".json"))
     if args.schema_op == "list":
@@ -478,7 +505,7 @@ def run(argv) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError, OSError, KeyError, FamilyContractError) as exc:
+    except (ValueError, ZeroDivisionError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Iterator, Optional, Sequence, Union
 
 from .ordinal import (
     ONE,
@@ -44,14 +44,13 @@ from .topology import (
     to_json as closed_set_to_json,
 )
 
-Rational = Union[Fraction, int, str]
+Rational = Fraction | int | str
 
 
-@dataclass(frozen=True)
-class GrasbergParams:
-    o: Ordinal
-    b: int
-    cb: Ordinal
+class GrasbergParams(namedtuple("GrasbergParams", "o b cb")):
+    """The ordinal o, the natural b and the cb index of the space."""
+
+    __slots__ = ()
 
 
 @lru_cache(maxsize=256)
@@ -148,9 +147,9 @@ class StepFunction:
             )
         return self._hash
 
-    def pieces(self) -> Iterator[tuple[Optional[Ordinal], Ordinal, Fraction]]:
+    def pieces(self) -> Iterator[tuple[Ordinal | None, Ordinal, Fraction]]:
         """Yield (lower, upper, value); lower None means the piece [0, upper]."""
-        prev: Optional[Ordinal] = None
+        prev: Ordinal | None = None
         for bp, v in zip(self.breakpoints, self.values):
             yield prev, bp, v
             prev = bp
@@ -233,7 +232,7 @@ def step_convex(coeffs: Sequence[Rational], fs: Sequence[StepFunction]) -> StepF
 # ---- sup and norm -----------------------------------------------------------
 
 
-def _piece_meets(space: ClosedSet, lower: Optional[Ordinal], upper: Ordinal) -> bool:
+def _piece_meets(space: ClosedSet, lower: Ordinal | None, upper: Ordinal) -> bool:
     """Does the clopen piece (lower, upper] (or [0, upper]) meet the set?"""
     for atom in space.atoms:
         if clip_atom(atom, lower, upper, least=True) is not None:
@@ -252,7 +251,7 @@ def sup_on(f: StepFunction, space: ClosedSet) -> Fraction:
     return best
 
 
-def argmax_on(f: StepFunction, space: ClosedSet) -> Optional[Ordinal]:
+def argmax_on(f: StepFunction, space: ClosedSet) -> Ordinal | None:
     """The least point of the set where |f| attains its max there; None on the empty set.
 
     Symbolic: the first piece meeting the set with the largest |value| holds
@@ -260,8 +259,8 @@ def argmax_on(f: StepFunction, space: ClosedSet) -> Optional[Ordinal]:
     """
     if f.ambient != space.ambient:
         raise ValueError("function and set live on different ambient intervals")
-    best: Optional[Fraction] = None
-    point: Optional[Ordinal] = None
+    best: Fraction | None = None
+    point: Ordinal | None = None
     for lower, upper, v in f.pieces():
         if best is not None and abs(v) <= best:
             continue
@@ -307,14 +306,10 @@ def phi(f: StepFunction, space: ClosedSet, eps: Rational) -> ClosedSet:
 # ---- lemma checkers ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KingReport:
+class KingReport(namedtuple("KingReport", "phi cb_phi bound passed")):
     """Critical sets stay small: cb index of phi never exceeds w^o."""
 
-    phi: ClosedSet
-    cb_phi: Ordinal
-    bound: Ordinal
-    passed: bool
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -335,17 +330,15 @@ def check_king(f: StepFunction, space: ClosedSet, eps: Rational) -> KingReport:
     )
 
 
-@dataclass(frozen=True)
-class QueenReport:
+class QueenReport(
+    namedtuple(
+        "QueenReport", "lhs rhs hypothesis_lhs hypothesis_rhs hypothesis_ok passed"
+    )
+):
     """Perturbation bound: if g is small on phi(f, eps), then
     |f+g| <= max(|f| + eps, |f|/2 + eps/2 + |g|)."""
 
-    lhs: Fraction
-    rhs: Fraction
-    hypothesis_lhs: Fraction
-    hypothesis_rhs: Fraction
-    hypothesis_ok: bool
-    passed: bool
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

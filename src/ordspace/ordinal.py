@@ -19,7 +19,7 @@ so formatting is canonical.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 
 class ParseError(ValueError):

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Union
 
 from .ordinal import (
     ONE,
@@ -52,7 +51,7 @@ from .grasberg import (
 )
 from .trees import FamilyContractError, WeaklyNullFamily
 
-Rational = Union[Fraction, int, str]
+Rational = Fraction | int | str
 
 
 @dataclass(frozen=True)
@@ -216,6 +215,8 @@ def extract_small_combination(
     where the last candidate is largest, found from the candidate's pieces
     without listing points.
     """
+    if max_probes < 0:
+        raise ValueError("max_probes must be >= 0")
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")

@@ -13,8 +13,8 @@ level mu + xi, with set intersections realizing the limit stages exactly.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .ordinal import (
     ONE,
@@ -32,25 +32,22 @@ from .ordinal import (
 )
 
 
-@dataclass(frozen=True)
-class Singleton:
-    point: Ordinal
+class Singleton(namedtuple("Singleton", "point")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(namedtuple("Stratum", "lo hi mu")):
     """Multiples of w^mu in the window (lo, hi]; requires lo < hi."""
 
-    lo: Ordinal
-    hi: Ordinal
-    mu: Ordinal
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if compare(self.lo, self.hi) >= 0:
+    def __new__(cls, lo: Ordinal, hi: Ordinal, mu: Ordinal):
+        if compare(lo, hi) >= 0:
             raise ValueError("stratum window needs lo < hi")
+        return tuple.__new__(cls, (lo, hi, mu))
 
 
-Atom = Union[Singleton, Stratum]
+Atom = Singleton | Stratum
 
 
 def roundup(lo: Ordinal, nu: Ordinal) -> Ordinal:
@@ -80,8 +77,8 @@ def max_stratum_exponent(lo: Ordinal, hi: Ordinal) -> Ordinal:
 
 
 def clip_atom(
-    atom: Atom, lower: Optional[Ordinal], upper: Ordinal, least: bool = False
-) -> Union[Atom, Ordinal, None]:
+    atom: Atom, lower: Ordinal | None, upper: Ordinal, least: bool = False
+) -> Atom | Ordinal | None:
     """Cut the atom down to the piece (lower, upper], or [0, upper] when lower is None.
 
     Returns the clipped atom, or None when its window is empty; a clipped
@@ -152,7 +149,7 @@ class ClosedSet:
         return f"ClosedSet(ambient={format_ordinal(self.ambient)}, {format_closed_set(self)})"
 
 
-def _holder(run: list[Stratum], g: Ordinal) -> Optional[Stratum]:
+def _holder(run: list[Stratum], g: Ordinal) -> Stratum | None:
     """The window of a run (disjoint windows sorted by lo) with lo < g <= hi, if any."""
     i = bisect_left(run, g, key=lambda s: s.lo) - 1
     return run[i] if i >= 0 and compare(g, run[i].hi) <= 0 else None
@@ -265,7 +262,7 @@ def cb_index(space: ClosedSet) -> Ordinal:
     return max((atom_height(atom) for atom in space.atoms), default=ZERO)
 
 
-def finite_points(space: ClosedSet) -> Optional[tuple[Ordinal, ...]]:
+def finite_points(space: ClosedSet) -> tuple[Ordinal, ...] | None:
     """All points of the set if it is finite, else None.
 
     A stratum is finite exactly when its window holds no multiple of

@@ -10,12 +10,10 @@ level, so none of this recurses on tree depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping, Optional
+from collections import namedtuple
+from collections.abc import Hashable, Mapping
 
 from .ordinal import ONE, Ordinal, compare, mul_nat
-from .topology import ClosedSet
-from .grasberg import StepFunction, constant, indicator, step_function_from_json
 
 Node = Hashable
 
@@ -29,8 +27,8 @@ class FiniteTree:
 
     __slots__ = ("_parent", "_children", "_height", "_hash")
 
-    def __init__(self, parent: Mapping[Node, Optional[Node]]):
-        parent_map: dict[Node, Optional[Node]] = dict(parent)
+    def __init__(self, parent: Mapping[Node, Node | None]):
+        parent_map: dict[Node, Node | None] = dict(parent)
         for node, par in parent_map.items():
             if node is None:
                 raise ValueError("None is reserved for the implicit root")
@@ -74,7 +72,7 @@ class FiniteTree:
     def nodes(self) -> tuple[Node, ...]:
         return tuple(self._parent)
 
-    def parent(self, node: Node) -> Optional[Node]:
+    def parent(self, node: Node) -> Node | None:
         return self._parent[node]
 
     def children(self, node: Node) -> tuple[Node, ...]:
@@ -115,7 +113,7 @@ def max_nodes(tree: FiniteTree) -> tuple[Node, ...]:
 
 
 def _restrict(tree: FiniteTree, keep: set) -> FiniteTree:
-    new_parent: dict[Node, Optional[Node]] = {}
+    new_parent: dict[Node, Node | None] = {}
     for node in tree.nodes:
         if node in keep:
             par = tree.parent(node)
@@ -150,7 +148,7 @@ def subtree_above(tree: FiniteTree, s: Node) -> FiniteTree:
     """The nodes strictly above s, re-rooted so s's children become top-level."""
     if s not in tree:
         raise ValueError(f"{s!r} is not a node of the tree")
-    new_parent: dict[Node, Optional[Node]] = {}
+    new_parent: dict[Node, Node | None] = {}
     stack = [(child, None) for child in reversed(tree.children(s))]
     while stack:
         node, par = stack.pop()
@@ -159,12 +157,10 @@ def subtree_above(tree: FiniteTree, s: Node) -> FiniteTree:
     return FiniteTree(new_parent)
 
 
-@dataclass(frozen=True)
-class FactReport:
-    fact: str
-    k: int
-    passed: bool
-    failures: tuple[tuple[Optional[Node], int], ...]
+class FactReport(namedtuple("FactReport", "fact k passed failures")):
+    """Fact "i" or "ii" at k; failures holds (witness node or None, actual rank) pairs."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -209,7 +205,7 @@ def tree_to_text(tree: FiniteTree) -> str:
 
 
 def tree_from_text(text: str) -> FiniteTree:
-    entries: dict[str, Optional[str]] = {}
+    entries: dict[str, str | None] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -247,14 +243,19 @@ def _is_node_id(value) -> bool:
 
 
 def tree_from_json(data: dict) -> FiniteTree:
-    """Decode the v1 tree JSON; ids are strings or integers, parents ids or null."""
+    """Decode the v1 tree JSON: {"nodes": [{"id": ..., "parent": ...}, ...]}, no other keys.
+
+    Ids are strings or integers, parents ids or null.
+    """
     if not isinstance(data, dict) or not isinstance(data.get("nodes"), list):
         raise ValueError("tree JSON must be an object with a nodes array")
-    entries: dict[Node, Optional[Node]] = {}
+    if len(data) != 1:
+        raise ValueError(f"tree JSON has keys other than nodes: {sorted(data)}")
+    entries: dict[Node, Node | None] = {}
     for item in data["nodes"]:
-        if not isinstance(item, dict):
-            raise ValueError("tree nodes must be objects")
-        node, par = item.get("id"), item.get("parent")
+        if not isinstance(item, dict) or item.keys() != {"id", "parent"}:
+            raise ValueError(f"tree nodes must be objects with keys id and parent, got {item!r}")
+        node, par = item["id"], item["parent"]
         if not _is_node_id(node):
             raise ValueError(f"node id must be a string or an integer, got {node!r}")
         if par is not None and not _is_node_id(par):
@@ -280,8 +281,9 @@ class FamilyContractError(RuntimeError):
         super().__init__(f"{detail}: {message}")
 
 
-@dataclass(frozen=True)
-class WeaklyNullFamily:
+class WeaklyNullFamily(
+    namedtuple("WeaklyNullFamily", "space at search_limit", defaults=(None,))
+):
     """Step functions indexed by paths of child indices.
 
     Contract: each function is bounded by 1 in sup norm on the space, and at
@@ -291,11 +293,13 @@ class WeaklyNullFamily:
     finite amount of evaluation, so extraction searches children up to a
     budget (search_limit if set, else the caller's) and reports a contract
     violation when the budget runs out.
+
+    Fields: space, the closed set the family lives on; at, the map from a
+    path (a tuple of child indices) to its step function; search_limit, an
+    optional cap on the child search.
     """
 
-    space: ClosedSet
-    at: Callable[[tuple[int, ...]], StepFunction]
-    search_limit: Optional[int] = None
+    __slots__ = ()
 
 
 def marching_indicators(space: ClosedSet, step: Ordinal = ONE) -> WeaklyNullFamily:
@@ -305,6 +309,8 @@ def marching_indicators(space: ClosedSet, step: Ordinal = ONE) -> WeaklyNullFami
     finite point set the children are eventually zero.  Windows are clamped
     to the ambient interval; the path's last index alone decides the window.
     """
+    from .grasberg import constant, indicator
+
     if step.is_zero():
         raise ValueError("ladder step must be a positive ordinal")
     ambient = space.ambient
@@ -322,6 +328,8 @@ def marching_indicators(space: ClosedSet, step: Ordinal = ONE) -> WeaklyNullFami
 
 
 def zero_family(space: ClosedSet) -> WeaklyNullFamily:
+    from .grasberg import constant
+
     zero = constant(space.ambient, 0)
     return WeaklyNullFamily(space=space, at=lambda path: zero)
 
@@ -333,6 +341,8 @@ def family_from_table(space: ClosedSet, table: dict) -> WeaklyNullFamily:
     the optional default, else to zero.  A cutoff is required: it caps the
     child search, since a finite table cannot promise anything beyond it.
     """
+    from .grasberg import constant, step_function_from_json
+
     if "cutoff" not in table:
         raise ValueError("family table requires an explicit 'cutoff'")
     cutoff = int(table["cutoff"])
@@ -345,7 +355,7 @@ def family_from_table(space: ClosedSet, table: dict) -> WeaklyNullFamily:
         if fn.ambient != space.ambient:
             raise ValueError(f"entry {list(path)} lives on a different ambient interval")
         entries[path] = fn
-    default: Optional[StepFunction] = None
+    default: StepFunction | None = None
     if table.get("default") is not None:
         default = step_function_from_json(table["default"])
         if default.ambient != space.ambient:

@@ -158,6 +158,11 @@ def test_check_json_report():
     assert json.loads(out) == {"trials": 3, "passes": 3, "pass": True}
 
 
+def test_check_negative_trials_is_exit_1():
+    code, out = cap(["check", "king", "--space", "w", "--trials", "-5"])
+    assert (code, out) == (1, "error: trials must be >= 0\n")
+
+
 def test_check_deterministic():
     argv = ["check", "queen", "--space", "w^(2)", "--trials", "40", "--seed", "9"]
     assert cap(argv) == cap(argv)
@@ -246,6 +251,11 @@ def test_extract_zero_budget_is_exit_1_without_witness():
     assert code == 1
     assert out.startswith("error: family contract violated at node []")
     assert "witness point" not in out
+
+
+def test_extract_negative_budget_is_exit_1():
+    code, out = cap(["extract", "--space", "w", "--delta", "1/2", "--budget", "-1"])
+    assert (code, out) == (1, "error: max_probes must be >= 0\n")
 
 
 def test_extract_exhausted_budget_names_witness():
@@ -366,8 +376,11 @@ def test_malformed_step_function_is_exit_1(pieces):
         {"nodes": [{"id": "a", "parent": None}, {"id": "b", "parent": ["a"]}]},
         {"nodes": "abc"},
         {"nodes": [{"id": True, "parent": None}]},
+        {"nodes": [{"id": "a"}]},
+        {"nodes": [{"id": "a", "parent": None}, {"id": "b", "parent": "a", "colour": 1}]},
+        {"nodes": [{"id": "a", "parent": None}], "extra": 2},
     ],
-    ids=["list-id", "list-parent", "string-nodes", "bool-id"],
+    ids=["list-id", "list-parent", "string-nodes", "bool-id", "no-parent", "node-key", "file-key"],
 )
 def test_malformed_tree_is_exit_1(tmp_path, payload):
     path = tmp_path / "t.json"

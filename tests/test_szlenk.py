@@ -262,6 +262,12 @@ def test_extraction_rejects_tall_spaces():
     assert "o = 1" in str(info.value)
 
 
+def test_extraction_rejects_negative_probe_budget():
+    space = interval(OMEGA)
+    with pytest.raises(ValueError, match="max_probes must be >= 0"):
+        extract_small_combination(space, marching_indicators(space), Fraction(1, 2), max_probes=-1)
+
+
 def test_extraction_contract_violation():
     space = interval(OMEGA)
     stubborn = WeaklyNullFamily(
