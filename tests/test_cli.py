@@ -5,6 +5,7 @@ import importlib.resources
 import io
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
@@ -161,6 +162,50 @@ def test_check_json_report():
 def test_check_negative_trials_is_exit_1():
     code, out = cap(["check", "king", "--space", "w", "--trials", "-5"])
     assert (code, out) == (1, "error: trials must be >= 0\n")
+
+
+def _top(h):
+    return max(abs(v) for v in h.values)
+
+
+def _king_fails(f, space, eps):
+    return SimpleNamespace(passed=not (len(f.values) >= 3 and _top(f) > Fraction(1, 3)))
+
+
+def _queen_fails(f, g, space, eps):
+    # g's bound depends on f, so shrinking g before f would end elsewhere
+    return SimpleNamespace(
+        passed=not (len(f.values) >= 2 and _top(f) > Fraction(1, 3) and _top(g) > _top(f) / 1000)
+    )
+
+
+# Recorded with the lemmas replaced by the rules above: the first failure is
+# trial 2 of seed 2; pieces shrink before values, and f before g.
+FAILING_CHECKS = {
+    ("king", "w^(2)"): '{"lemma": "king", "pass": false, "eps": "17/20", "f": {"ambient": '
+    '[[[[[], 2]], 1]], "pieces": [{"upTo": [[[], 2]], "value": "0"}, {"upTo": [[[[[], 1]], 3]], '
+    '"value": "1/2"}, {"upTo": [[[[[], 2]], 1]], "value": "0"}]}}',
+    ("queen", "w"): '{"lemma": "queen", "pass": false, "eps": "17/20", "f": {"ambient": '
+    '[[[[[], 1]], 1]], "pieces": [{"upTo": [[[], 1]], "value": "-2/3"}, {"upTo": [[[[[], 1]], 1]], '
+    '"value": "0"}]}, "g": {"ambient": [[[[[], 1]], 1]], "pieces": [{"upTo": [[[[[], 1]], 1]], '
+    '"value": "17/20480"}]}}',
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("lemma, space", list(FAILING_CHECKS))
+def test_check_failure_prints_shrunk_counterexample(monkeypatch, lemma, space, as_json):
+    import ordspace.grasberg
+
+    monkeypatch.setattr(ordspace.grasberg, "check_king", _king_fails)
+    monkeypatch.setattr(ordspace.grasberg, "check_queen", _queen_fails)
+    argv = ["check", lemma, "--space", space, "--trials", "50", "--seed", "2"]
+    payload = FAILING_CHECKS[lemma, space]
+    if as_json:
+        assert cap(argv + ["--json"]) == (1, payload + "\n")
+    else:
+        pretty = json.dumps(json.loads(payload), indent=2)
+        assert cap(argv) == (1, f"2/50 FAIL\nminimal counterexample:\n{pretty}\n")
 
 
 def test_check_deterministic():

@@ -1,5 +1,7 @@
 """Tests for norm parameters, step functions, critical sets, and the two lemma checkers."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -44,6 +46,7 @@ from ordspace.topology import (
     cb_index,
     derivative,
     finite_points,
+    format_closed_set,
     interval,
     is_empty,
     iterated_derivative,
@@ -484,3 +487,38 @@ def test_step_function_json_round_trip():
     for seed in range(50):
         f = random_step_function(interval(OMEGA_SQ), seed)
         assert step_function_from_json(step_function_to_json(f)) == f
+
+
+# --- behaviour lock -----------------------------------------------------------------
+
+
+DIGEST_SPACES = ["w", "w*3+2", "w^(2)", "w^(2)*2+3", "w^(3)", "w^(w)", "w^(w)*2", "w^(5)"]
+
+
+def grasberg_digest():
+    """One sha256 over the lemma reports, phi, sup_on, argmax_on and the norm
+    for 150 seeded (f, g, eps) triples on each digest space."""
+    digest = hashlib.sha256()
+    small = (Fraction(-1, 50), Fraction(1, 50))
+    for text in DIGEST_SPACES:
+        space = interval(parse(text))
+        for seed in range(150):
+            eps = Fraction(1, 1 + seed % 9)
+            f = random_step_function(space, seed, max_pieces=12)
+            g = random_step_function(space, seed + 1000, max_pieces=12, value_range=small)
+            critical = phi(f, space, eps)
+            record = [
+                check_king(f, space, eps).to_json(),
+                check_queen(f, g, space, eps).to_json(),
+                format_closed_set(critical),
+                repr(critical.atoms),
+                str(sup_on(g, critical)),
+                repr(argmax_on(f, critical)),
+                str(grasberg_norm(f, space)),
+            ]
+            digest.update(json.dumps(record).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_grasberg_digest_locked():
+    assert grasberg_digest() == "6b82d36618fd3ad83f30867fe2ccc985135752b3bced48f647b7831ac62491d8"
