@@ -55,68 +55,54 @@ def shrink_step_function(f: StepFunction, still_failing, max_steps: int = 200) -
 
     First reduce the piece count (halving, then single drops), then simplify
     values toward 0 (zeroing, integer truncation, halving), keeping every
-    change only while the failure persists.
+    change only while the failure persists.  At most max_steps changes are
+    kept, counted over both phases.
     """
     from fractions import Fraction
 
     from .grasberg import StepFunction
 
-    steps = 0
-    improved = True
-    while improved and steps < max_steps:
-        improved = False
+    def piece_drops(f):
         k = len(f.breakpoints)
-        candidates = []
-        if k > 2:
-            kept = list(range(1, k - 1, 2)) + [k - 1]
-            candidates.append(
-                StepFunction(
-                    f.ambient,
-                    tuple(f.breakpoints[i] for i in kept),
-                    tuple(f.values[i] for i in kept),
-                )
+        kept = [[*range(1, k - 1, 2), k - 1]] if k > 2 else []
+        kept += [[j for j in range(k) if j != i] for i in range(k - 1)]
+        for keep in kept:
+            cand = StepFunction(
+                f.ambient, tuple(f.breakpoints[j] for j in keep), tuple(f.values[j] for j in keep)
             )
-        for i in range(k - 1):
-            candidates.append(
-                StepFunction(
-                    f.ambient,
-                    f.breakpoints[:i] + f.breakpoints[i + 1 :],
-                    f.values[:i] + f.values[i + 1 :],
-                )
-            )
-        for cand in candidates:
-            if len(cand.breakpoints) < len(f.breakpoints) and still_failing(cand):
-                f = cand
-                improved = True
-                steps += 1
-                break
-    improved = True
-    while improved and steps < max_steps:
-        improved = False
+            if len(cand.breakpoints) < k:
+                yield cand
+
+    def value_simplifications(f):
         for i, v in enumerate(f.values):
-            if v == 0:
-                continue
-            ladder = [Fraction(0)]
-            if v != int(v):
-                ladder.append(Fraction(int(v)))
-            ladder.append(v / 2)
-            for repl in ladder:
-                if repl == v:
-                    continue
-                cand = StepFunction(
-                    f.ambient, f.breakpoints, f.values[:i] + (repl,) + f.values[i + 1 :]
-                )
-                if still_failing(cand):
-                    f = cand
-                    improved = True
-                    steps += 1
-                    break
-            if improved:
+            for repl in (Fraction(0), Fraction(int(v)), v / 2):
+                if repl != v:
+                    yield StepFunction(
+                        f.ambient, f.breakpoints, f.values[:i] + (repl,) + f.values[i + 1 :]
+                    )
+
+    steps = 0
+    for candidates in (piece_drops, value_simplifications):
+        while steps < max_steps:
+            better = next((c for c in candidates(f) if still_failing(c)), None)
+            if better is None:
                 break
+            f = better
+            steps += 1
     return f
 
 
 # ---- input helpers ----------------------------------------------------------
+
+
+def _fraction(flag: str, text: str):
+    """Fraction(text), with an error line that names the flag."""
+    from fractions import Fraction
+
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag} must be a rational like 1/2, got {text!r}") from None
 
 
 def _read_json(text: str):
@@ -215,8 +201,6 @@ def _cmd_szlenk(args) -> int:
 
 def _cmd_grasberg(args) -> int:
     z = parse(args.space)
-    from fractions import Fraction
-
     from .grasberg import grasberg_norm, params, phi
     from .topology import format_closed_set, interval
     from .topology import to_json as closed_set_to_json
@@ -233,7 +217,7 @@ def _cmd_grasberg(args) -> int:
         _emit(args, str(value), {"norm": str(value)})
     else:
         f = _load_step_function(args.fn)
-        critical = phi(f, space, Fraction(args.eps))
+        critical = phi(f, space, _fraction("--eps", args.eps))
         _emit(args, format_closed_set(critical), closed_set_to_json(critical))
     return 0
 
@@ -247,15 +231,14 @@ def _trial_eps(trial_seed: int):
 
 
 def _check_king_trial(space, trial_seed: int, max_pieces: int):
-    from .grasberg import check_king, random_step_function
+    from .grasberg import random_step_function
 
     f = random_step_function(space, 3 * trial_seed, max_pieces=max_pieces)
-    eps = _trial_eps(trial_seed)
-    return f, eps, check_king(f, space, eps)
+    return (f,), _trial_eps(trial_seed)
 
 
 def _check_queen_trial(space, trial_seed: int, max_pieces: int):
-    from .grasberg import check_queen, params, phi, random_step_function, step_scale, sup_on
+    from .grasberg import params, phi, random_step_function, step_scale, sup_on
 
     f = random_step_function(space, 3 * trial_seed, max_pieces=max_pieces)
     g = random_step_function(space, 3 * trial_seed + 1, max_pieces=max_pieces)
@@ -264,7 +247,7 @@ def _check_queen_trial(space, trial_seed: int, max_pieces: int):
     spread = sup_on(g, phi(f, space, eps))
     if spread > cap:
         g = step_scale(g, cap / spread)
-    return f, g, eps, check_queen(f, g, space, eps)
+    return (f, g), eps
 
 
 def _cmd_check(args) -> int:
@@ -274,60 +257,30 @@ def _cmd_check(args) -> int:
     from .grasberg import check_king, check_queen, step_function_to_json
     from .topology import interval
 
+    trial, lemma = {
+        "king": (_check_king_trial, check_king),
+        "queen": (_check_queen_trial, check_queen),
+    }[args.lemma]
     space = interval(z)
-    passes = 0
-    failure = None
-    for i in range(args.trials):
-        trial_seed = args.seed * 1_000_003 + i
-        if args.lemma == "king":
-            f, eps, report = _check_king_trial(space, trial_seed, args.max_pieces)
-            if report.passed:
-                passes += 1
-            else:
-                failure = ("king", f, None, eps)
-                break
-        else:
-            f, g, eps, report = _check_queen_trial(space, trial_seed, args.max_pieces)
-            if report.passed:
-                passes += 1
-            else:
-                failure = ("queen", f, g, eps)
-                break
-
-    if failure is None:
-        text = f"{passes}/{args.trials} " + _paint("pass", "32")
-        _emit(args, text, {"trials": args.trials, "passes": passes, "pass": True})
+    for passes in range(args.trials):
+        fns, eps = trial(space, args.seed * 1_000_003 + passes, args.max_pieces)
+        if not lemma(*fns, space, eps).passed:
+            break
+    else:
+        text = f"{args.trials}/{args.trials} " + _paint("pass", "32")
+        _emit(args, text, {"trials": args.trials, "passes": args.trials, "pass": True})
         return 0
 
-    lemma, f, g, eps = failure
-    if lemma == "king":
-        f = shrink_step_function(f, lambda c: not check_king(c, space, eps).passed)
-        payload = {
-            "lemma": lemma,
-            "pass": False,
-            "eps": str(eps),
-            "f": step_function_to_json(f),
-        }
-    else:
-        f = shrink_step_function(
-            f, lambda c: not check_queen(c, g, space, eps).passed
+    # shrink f first, then g against the shrunk f
+    fns = list(fns)
+    for slot, fn in enumerate(fns):
+        fns[slot] = shrink_step_function(
+            fn, lambda c: not lemma(*fns[:slot], c, *fns[slot + 1 :], space, eps).passed
         )
-        g = shrink_step_function(
-            g, lambda c: not check_queen(f, c, space, eps).passed
-        )
-        payload = {
-            "lemma": lemma,
-            "pass": False,
-            "eps": str(eps),
-            "f": step_function_to_json(f),
-            "g": step_function_to_json(g),
-        }
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(f"{passes}/{args.trials} " + _paint("FAIL", "31"))
-        print("minimal counterexample:")
-        print(json.dumps(payload, indent=2))
+    payload = {"lemma": args.lemma, "pass": False, "eps": str(eps)}
+    payload.update((name, step_function_to_json(fn)) for name, fn in zip("fg", fns))
+    text = f"{passes}/{args.trials} " + _paint("FAIL", "31")
+    _emit(args, f"{text}\nminimal counterexample:\n{json.dumps(payload, indent=2)}", payload)
     return 1
 
 
@@ -361,8 +314,6 @@ def _cmd_tree(args) -> int:
 
 def _cmd_extract(args) -> int:
     z, ladder = parse(args.space), parse(args.ladder)
-    from fractions import Fraction
-
     from .szlenk import extract_small_combination
     from .topology import interval
     from .trees import FamilyContractError
@@ -371,7 +322,7 @@ def _cmd_extract(args) -> int:
     family = _load_family(space, args.family, ladder)
     try:
         certificate = extract_small_combination(
-            space, family, Fraction(args.delta), max_probes=args.budget
+            space, family, _fraction("--delta", args.delta), max_probes=args.budget
         )
     except FamilyContractError as exc:
         raise ValueError(str(exc)) from None

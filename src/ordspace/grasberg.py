@@ -469,18 +469,24 @@ def step_function_to_json(f: StepFunction) -> dict:
 _RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
+def _field(data: dict, key: str, what: str):
+    if key not in data:
+        raise ValueError(f"{what} has no {key!r} field")
+    return data[key]
+
+
 def step_function_from_json(data: dict) -> StepFunction:
     """Decode the v1 step-function JSON; values must be rational strings."""
     if not isinstance(data, dict) or not isinstance(data.get("pieces"), list):
         raise ValueError("step function JSON must be an object with a pieces array")
-    ambient = ordinal_from_json(data["ambient"])
+    ambient = ordinal_from_json(_field(data, "ambient", "step function JSON"))
     bps, vals = [], []
     for piece in data["pieces"]:
         if not isinstance(piece, dict):
             raise ValueError("step function pieces must be objects")
-        value = piece["value"]
+        value = _field(piece, "value", "step function piece")
         if not (isinstance(value, str) and _RATIONAL.fullmatch(value)):
             raise ValueError(f"piece value must be a string like \"-3/4\", got {value!r}")
-        bps.append(ordinal_from_json(piece["upTo"]))
+        bps.append(ordinal_from_json(_field(piece, "upTo", "step function piece")))
         vals.append(Fraction(value))
     return StepFunction(ambient, bps, vals)

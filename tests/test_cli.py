@@ -403,15 +403,39 @@ def test_bool_coefficient_is_exit_1():
     assert one_line_error(out)
 
 
+W_JSON = [[[[[], 1]], 1]]
+
+
 @pytest.mark.parametrize(
-    "pieces",
-    [[{"upTo": [[[[[], 1]], 1]], "value": 0.1}], "abc", ["abc"]],
-    ids=["float-value", "string-pieces", "string-piece"],
+    "fn, named",
+    [
+        (fn_json(W_JSON, [{"upTo": W_JSON, "value": 0.1}]), "value"),
+        (fn_json(W_JSON, "abc"), "pieces"),
+        (fn_json(W_JSON, ["abc"]), "pieces"),
+        (json.dumps({"pieces": [{"upTo": W_JSON, "value": "1"}]}), "'ambient'"),
+        (fn_json(W_JSON, [{"value": "1"}]), "'upTo'"),
+        (fn_json(W_JSON, [{"upTo": W_JSON}]), "'value'"),
+    ],
+    ids=["float-value", "string-pieces", "string-piece", "no-ambient", "no-upTo", "no-value"],
 )
-def test_malformed_step_function_is_exit_1(pieces):
-    code, out = cap(["grasberg", "norm", "--space", "w", "--fn", fn_json([[[[[], 1]], 1]], pieces)])
+def test_malformed_step_function_is_exit_1(fn, named):
+    code, out = cap(["grasberg", "norm", "--space", "w", "--fn", fn])
     assert code == 1
-    assert one_line_error(out)
+    assert one_line_error(out) and named in out
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["extract", "--space", "w", "--delta", "1/0"], "--delta"),
+        (["grasberg", "phi", "--space", "w", "--fn", CONST_ONE, "--eps", "1/0"], "--eps"),
+    ],
+    ids=["delta", "eps"],
+)
+def test_zero_denominator_names_the_flag(argv, flag):
+    code, out = cap(argv)
+    assert code == 1
+    assert one_line_error(out) and flag in out
 
 
 @pytest.mark.parametrize(
