@@ -254,7 +254,9 @@ def _cmd_check(args) -> int:
     z = parse(args.space)
     if args.trials < 0:
         raise ValueError("trials must be >= 0")
-    from .grasberg import check_king, check_queen, step_function_to_json
+    if args.max_pieces < 1:
+        raise ValueError("max_pieces must be >= 1")
+    from .grasberg import check_king, check_queen, params, step_function_to_json
     from .topology import interval
 
     trial, lemma = {
@@ -262,6 +264,7 @@ def _cmd_check(args) -> int:
         "queen": (_check_queen_trial, check_queen),
     }[args.lemma]
     space = interval(z)
+    params(space)  # rejects a finite space before the first trial
     for passes in range(args.trials):
         fns, eps = trial(space, args.seed * 1_000_003 + passes, args.max_pieces)
         if not lemma(*fns, space, eps).passed:

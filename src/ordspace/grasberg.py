@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import random
 import re
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache, reduce
 
@@ -35,6 +36,7 @@ from .ordinal import (
     to_json as ordinal_to_json,
 )
 from .topology import (
+    Atom,
     ClosedSet,
     Singleton,
     cb_index,
@@ -147,13 +149,6 @@ class StepFunction:
             )
         return self._hash
 
-    def pieces(self) -> Iterator[tuple[Ordinal | None, Ordinal, Fraction]]:
-        """Yield (lower, upper, value); lower None means the piece [0, upper]."""
-        prev: Ordinal | None = None
-        for bp, v in zip(self.breakpoints, self.values):
-            yield prev, bp, v
-            prev = bp
-
     def __repr__(self) -> str:
         body = ", ".join(
             f"(..{format_ordinal(b)}]={v}" for b, v in zip(self.breakpoints, self.values)
@@ -172,25 +167,22 @@ def indicator(ambient: Ordinal, lo: Ordinal, hi: Ordinal) -> StepFunction:
     if lo == hi:
         return constant(ambient, 0)
     bps: list[Ordinal] = []
-    vals: list[Rational] = []
+    vals: list[Fraction] = []
     if not lo.is_zero():
         bps.append(lo)
-        vals.append(0)
+        vals.append(Fraction(0))
     bps.append(hi)
-    vals.append(1)
+    vals.append(Fraction(1))
     if compare(hi, ambient) < 0:
         bps.append(ambient)
-        vals.append(0)
-    return StepFunction(ambient, bps, vals)
+        vals.append(Fraction(0))
+    return StepFunction(ambient, bps, vals, _trusted=True)
 
 
 def value_at(f: StepFunction, point: Ordinal) -> Fraction:
     if compare(point, f.ambient) > 0:
         raise ValueError(f"point {point} outside [0, {f.ambient}]")
-    for bp, v in zip(f.breakpoints, f.values):
-        if compare(point, bp) <= 0:
-            return v
-    raise AssertionError("unreachable: last breakpoint is the ambient")
+    return f.values[bisect_left(f.breakpoints, point)]
 
 
 def step_add(f: StepFunction, g: StepFunction) -> StepFunction:
@@ -232,22 +224,32 @@ def step_convex(coeffs: Sequence[Rational], fs: Sequence[StepFunction]) -> StepF
 # ---- sup and norm -----------------------------------------------------------
 
 
-def _piece_meets(space: ClosedSet, lower: Ordinal | None, upper: Ordinal) -> bool:
-    """Does the clopen piece (lower, upper] (or [0, upper]) meet the set?"""
-    for atom in space.atoms:
-        if clip_atom(atom, lower, upper, least=True) is not None:
-            return True
-    return False
+def _pieces_of(f: StepFunction, atom: Atom) -> range:
+    """Indices of the pieces of f whose window meets the atom's, by bisection:
+    piece i is (bps[i-1], bps[i]] ([0, bps[0]] for i = 0), so a singleton p lies in
+    piece bisect_left(bps, p) and a stratum (lo, hi] meets the contiguous pieces
+    bisect_right(bps, lo) .. bisect_left(bps, hi)."""
+    bps = f.breakpoints
+    if isinstance(atom, Singleton):
+        i = bisect_left(bps, atom.point)
+        return range(i, i + 1)
+    return range(bisect_right(bps, atom.lo), bisect_left(bps, atom.hi) + 1)
 
 
 def sup_on(f: StepFunction, space: ClosedSet) -> Fraction:
-    """Max of |f| over the set; 0 on the empty set."""
+    """Max of |f| over the set; 0 on the empty set.
+
+    Costs about atoms * log(pieces) comparisons to find each atom's pieces,
+    plus a clip for each piece an atom covers whose |value| beats the best."""
     if f.ambient != space.ambient:
         raise ValueError("function and set live on different ambient intervals")
+    bps, values = f.breakpoints, f.values
     best = Fraction(0)
-    for lower, upper, v in f.pieces():
-        if abs(v) > best and _piece_meets(space, lower, upper):
-            best = abs(v)
+    for atom in space.atoms:
+        for i in _pieces_of(f, atom):
+            v = abs(values[i])
+            if v > best and clip_atom(atom, bps[i - 1] if i else None, bps[i], least=True) is not None:
+                best = v
     return best
 
 
@@ -259,47 +261,44 @@ def argmax_on(f: StepFunction, space: ClosedSet) -> Ordinal | None:
     """
     if f.ambient != space.ambient:
         raise ValueError("function and set live on different ambient intervals")
-    best: Fraction | None = None
+    bps, values = f.breakpoints, f.values
+    best: tuple[Fraction, int] | None = None  # (|value|, -index) of the best piece
     point: Ordinal | None = None
-    for lower, upper, v in f.pieces():
-        if best is not None and abs(v) <= best:
-            continue
-        hits = [
-            q
-            for atom in space.atoms
-            if (q := clip_atom(atom, lower, upper, least=True)) is not None
-        ]
-        if hits:
-            best, point = abs(v), min(hits)
+    for atom in space.atoms:
+        for i in _pieces_of(f, atom):
+            key = (abs(values[i]), -i)
+            if best is not None and key < best:
+                continue
+            q = clip_atom(atom, bps[i - 1] if i else None, bps[i], least=True)
+            if q is not None and (key != best or compare(q, point) < 0):
+                best, point = key, q
     return point
 
 
 def grasberg_norm(f: StepFunction, space: ClosedSet) -> Fraction:
     """max over 0 <= n <= b of 2^n * sup of |f| on the (w^o * n)-th derivative."""
-    best = Fraction(0)
-    for n, level in enumerate(level_sets(space)):
-        value = (2**n) * sup_on(f, level)
-        if value > best:
-            best = value
-    return best
+    return max(2**n * sup_on(f, level) for n, level in enumerate(level_sets(space)))
 
 
 def phi(f: StepFunction, space: ClosedSet, eps: Rational) -> ClosedSet:
-    """The critical set: at each level n, the points where 2^(n+1)|f| > |f| + eps."""
+    """The critical set: at each level n, the points where 2^(n+1)|f| > |f| + eps.
+
+    Costs, per level, about atoms * log(pieces) comparisons to find each
+    atom's pieces, plus a clip for each critical piece an atom covers."""
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    norm = grasberg_norm(f, space)
+    cut = grasberg_norm(f, space) + eps
+    bps, mags = f.breakpoints, [abs(v) for v in f.values]
     atoms = []
     for n, level in enumerate(level_sets(space)):
-        weight = 2 ** (n + 1)
-        for lower, upper, v in f.pieces():
-            if weight * abs(v) <= norm + eps:
-                continue
-            for atom in level.atoms:
-                clipped = clip_atom(atom, lower, upper)
-                if clipped is not None:
-                    atoms.append(clipped)
+        floor = cut / 2 ** (n + 1)
+        for atom in level.atoms:
+            for i in _pieces_of(f, atom):
+                if mags[i] > floor:
+                    clipped = clip_atom(atom, bps[i - 1] if i else None, bps[i])
+                    if clipped is not None:
+                        atoms.append(clipped)
     return ClosedSet(space.ambient, atoms)
 
 

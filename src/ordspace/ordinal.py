@@ -60,9 +60,6 @@ class Ordinal:
     def is_successor(self) -> bool:
         return bool(self.terms) and self.terms[-1][0].is_zero()
 
-    def is_limit(self) -> bool:
-        return bool(self.terms) and not self.terms[-1][0].is_zero()
-
     def __int__(self) -> int:
         if self.is_zero():
             return 0

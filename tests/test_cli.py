@@ -164,6 +164,24 @@ def test_check_negative_trials_is_exit_1():
     assert (code, out) == (1, "error: trials must be >= 0\n")
 
 
+FINITE_SPACE = "error: Grasberg parameters need an infinite space (cb index >= 2)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["king", "--space", "0"], FINITE_SPACE),
+        (["queen", "--space", "7"], FINITE_SPACE),
+        (["king", "--space", "w", "--max-pieces", "0"], "error: max_pieces must be >= 1\n"),
+    ],
+    ids=["king-space-0", "queen-space-7", "max-pieces-0"],
+)
+def test_check_rejects_bad_inputs_before_any_trial(argv, message):
+    """Zero trials still validate the space and --max-pieces, as one trial does."""
+    for trials in ("0", "1"):
+        assert cap(["check", *argv, "--trials", trials]) == (1, message)
+
+
 def _top(h):
     return max(abs(v) for v in h.values)
 

@@ -18,6 +18,7 @@ from ordspace.grasberg import (
     constant,
     grasberg_norm,
     indicator,
+    level_sets,
     params,
     phi,
     random_step_function,
@@ -44,6 +45,7 @@ from ordspace.topology import (
     Singleton,
     Stratum,
     cb_index,
+    clip_atom,
     derivative,
     finite_points,
     format_closed_set,
@@ -52,7 +54,7 @@ from ordspace.topology import (
     iterated_derivative,
 )
 
-from conftest import closed_sets, landmark_points
+from conftest import assemble, closed_sets, landmark_points
 
 TWO = from_int(2)
 OMEGA_SQ = omega_pow(TWO)
@@ -380,6 +382,114 @@ def test_argmax_on_matches_listing_the_points(space, seed):
         return
     f = random_step_function(space, seed, max_pieces=8)
     assert argmax_on(f, space) == max(points, key=lambda q: abs(value_at(f, q)))
+
+
+# --- bisection against the pieces x atoms scans ---------------------------------
+
+
+def reference_pieces(f):
+    """(lower, upper, value) per piece; lower None means the piece [0, upper]."""
+    return zip((None,) + f.breakpoints[:-1], f.breakpoints, f.values)
+
+
+def reference_sup_on(f, space):
+    """The old sup_on: every piece against every atom of the set."""
+    best = Fraction(0)
+    for lower, upper, v in reference_pieces(f):
+        if abs(v) > best and any(
+            clip_atom(atom, lower, upper, least=True) is not None for atom in space.atoms
+        ):
+            best = abs(v)
+    return best
+
+
+def reference_argmax_on(f, space):
+    """The old argmax_on: the least hit of the first piece with the largest |value|."""
+    best = point = None
+    for lower, upper, v in reference_pieces(f):
+        if best is not None and abs(v) <= best:
+            continue
+        hits = [
+            q for atom in space.atoms if (q := clip_atom(atom, lower, upper, least=True)) is not None
+        ]
+        if hits:
+            best, point = abs(v), min(hits)
+    return point
+
+
+def reference_phi(f, space, eps):
+    """The old phi: per level, every critical piece against every atom."""
+    levels = level_sets(space)
+    norm = max(2**n * reference_sup_on(f, level) for n, level in enumerate(levels))
+    atoms = []
+    for n, level in enumerate(levels):
+        for lower, upper, v in reference_pieces(f):
+            if 2 ** (n + 1) * abs(v) > norm + eps:
+                for atom in level.atoms:
+                    if (clipped := clip_atom(atom, lower, upper)) is not None:
+                        atoms.append(clipped)
+    return ClosedSet(space.ambient, atoms)
+
+
+def reference_value_at(f, point):
+    """The old value_at: the first piece whose upper end reaches the point."""
+    for bp, v in zip(f.breakpoints, f.values):
+        if point <= bp:
+            return v
+
+
+BISECT_AMBIENT = mul_nat(OMEGA_SQ, 3)
+# w^2*a + w*b + c below the ambient: successors, limits and their neighbours
+BISECT_POOL = sorted(
+    assemble([(e, k) for e, k in ((TWO, a), (ONE, b), (ZERO, c)) if k])
+    for a in range(3)
+    for b in range(5)
+    for c in range(5)
+)
+# few magnitudes, both signs: many pieces tie in |value|
+TIE_VALUES = [Fraction(v) for v in ("-1", "-1/2", "0", "1/2", "1")]
+
+
+@st.composite
+def step_functions_and_sets(draw):
+    """A step function of up to 40 pieces and a closed set built around its
+    breakpoints: singletons on, just below and just above them, and strata of
+    several levels with a breakpoint as lo or hi."""
+    size = draw(st.integers(min_value=0, max_value=39))
+    cuts = draw(st.lists(st.sampled_from(BISECT_POOL), min_size=size, max_size=size, unique=True))
+    bps = sorted(cuts) + [BISECT_AMBIENT]
+    values = draw(st.lists(st.sampled_from(TIE_VALUES), min_size=len(bps), max_size=len(bps)))
+    f = StepFunction(BISECT_AMBIENT, bps, values)
+    ends = BISECT_POOL + [BISECT_AMBIENT]
+    atoms = []
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        bp = draw(st.sampled_from(f.breakpoints))
+        kind = draw(st.sampled_from(["on", "below", "above", "stratum", "stratum", "stratum"]))
+        if kind == "on":
+            atoms.append(Singleton(bp))
+        elif kind == "below" and not bp.is_zero():
+            atoms.append(Singleton(max(q for q in BISECT_POOL if q < bp)))
+        elif kind == "above" and bp < BISECT_AMBIENT:
+            atoms.append(Singleton(add(bp, ONE)))
+        elif kind == "stratum":
+            other = draw(st.sampled_from(ends))
+            if other != bp:
+                mu = from_int(draw(st.integers(min_value=0, max_value=2)))
+                atoms.append(Stratum(min(bp, other), max(bp, other), mu))
+    return f, ClosedSet(BISECT_AMBIENT, atoms)
+
+
+@given(step_functions_and_sets(), st.sampled_from([Fraction(1, 8), Fraction(1, 2), Fraction(2)]))
+def test_bisection_matches_the_pieces_by_atoms_scans(f_and_set, eps):
+    f, space = f_and_set
+    assert sup_on(f, space) == reference_sup_on(f, space)
+    assert argmax_on(f, space) == reference_argmax_on(f, space)
+    for point in BISECT_POOL + [BISECT_AMBIENT]:
+        assert value_at(f, point) == reference_value_at(f, point)
+    if cb_index(space) > ONE:
+        got = phi(f, space, eps)
+        assert got == reference_phi(f, space, eps)
+        assert repr(got.atoms) == repr(reference_phi(f, space, eps).atoms)
 
 
 def test_step_convex_rejects_bad_weights():

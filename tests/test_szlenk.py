@@ -41,6 +41,7 @@ from ordspace.ordinal import (
 )
 from ordspace.topology import (
     ClosedSet,
+    Stratum,
     cb_index,
     contains,
     finite_points,
@@ -308,6 +309,21 @@ def test_extraction_budget_witness_is_first_largest_critical_point():
     assert err.point == expected
 
 
+@pytest.mark.parametrize("cut, exceeds", [(5, False), (6, True)])
+def test_extraction_checks_the_unit_ball_on_the_space_only(cut, exceeds):
+    # The space is {6, 7, ..., w}.  Every child is 3 on [0, cut] and 0 after
+    # it, so it leaves the unit ball only when the cut reaches the space.
+    space = ClosedSet(OMEGA, [Stratum(from_int(5), OMEGA, ZERO)])
+    default = StepFunction(OMEGA, (from_int(cut), OMEGA), (Fraction(3), Fraction(0)))
+    family = family_from_table(space, {"cutoff": 5, "default": step_function_to_json(default)})
+    if exceeds:
+        with pytest.raises(FamilyContractError, match=r"node \[0\]: function exceeds the unit ball"):
+            extract_small_combination(space, family, Fraction(1, 2))
+    else:
+        cert = extract_small_combination(space, family, Fraction(1, 2))
+        assert cert.blocks == (default,) * cert.n and cert.final_norm == 0
+
+
 def test_extraction_never_lists_the_critical_set(monkeypatch):
     def refuse(space):
         raise AssertionError("finite_points called during extraction")
@@ -359,6 +375,9 @@ def test_certificate_detects_tampering():
     )
     with pytest.raises(CertificateError):
         forged_block.verify(space)
+    too_big = dataclasses.replace(cert, blocks=(constant(OMEGA, 2),) + cert.blocks[1:])
+    with pytest.raises(CertificateError, match="block 1 leaves the unit ball"):
+        too_big.verify(space)
 
 
 # --- behaviour lock -----------------------------------------------------------------
