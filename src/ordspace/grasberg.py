@@ -161,7 +161,7 @@ def constant(ambient: Ordinal, value: Rational) -> StepFunction:
 
 
 def indicator(ambient: Ordinal, lo: Ordinal, hi: Ordinal) -> StepFunction:
-    """The indicator of the window (lo, hi] inside [0, ambient]."""
+    """The indicator of the window (lo, hi] inside [0, ambient]; of [0, hi] when lo = 0."""
     if compare(hi, ambient) > 0 or compare(lo, hi) > 0:
         raise ValueError("indicator window must satisfy lo <= hi <= ambient")
     if lo == hi:
@@ -256,23 +256,18 @@ def sup_on(f: StepFunction, space: ClosedSet) -> Fraction:
 def argmax_on(f: StepFunction, space: ClosedSet) -> Ordinal | None:
     """The least point of the set where |f| attains its max there; None on the empty set.
 
-    Symbolic: the first piece meeting the set with the largest |value| holds
-    that point, and it is the least point of the set inside the piece.
+    Symbolic: pieces are ordered, so the point is the least point of the set
+    inside the first piece that meets the set with |value| equal to the sup.
     """
-    if f.ambient != space.ambient:
-        raise ValueError("function and set live on different ambient intervals")
+    top = sup_on(f, space)
     bps, values = f.breakpoints, f.values
-    best: tuple[Fraction, int] | None = None  # (|value|, -index) of the best piece
-    point: Ordinal | None = None
-    for atom in space.atoms:
-        for i in _pieces_of(f, atom):
-            key = (abs(values[i]), -i)
-            if best is not None and key < best:
-                continue
-            q = clip_atom(atom, bps[i - 1] if i else None, bps[i], least=True)
-            if q is not None and (key != best or compare(q, point) < 0):
-                best, point = key, q
-    return point
+    points = (
+        clip_atom(atom, bps[i - 1] if i else None, bps[i], least=True)
+        for atom in space.atoms
+        for i in _pieces_of(f, atom)
+        if abs(values[i]) == top
+    )
+    return min((q for q in points if q is not None), default=None)
 
 
 def grasberg_norm(f: StepFunction, space: ClosedSet) -> Fraction:

@@ -14,7 +14,7 @@ scope here and rejected up front.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import reduce
 
@@ -150,53 +150,83 @@ class ExtractionCertificate:
         }
 
     def verify(self, space: ClosedSet) -> bool:
-        """Recompute everything the certificate claims; raise on any mismatch."""
-        p = params(space)
-        if not p.o.is_zero():
+        """Replay the stored branch and blocks through the stage loop, then
+        compare every field with the recomputed certificate; raise on any mismatch."""
+        if not params(space).o.is_zero():
             raise CertificateError("certificate requires a space of finite height")
-        b = p.b
-        budget = Fraction(2 ** (2 + b))
-        if self.n * self.delta <= budget:
-            raise CertificateError("n fails n*delta > 2^(2+b)")
-        if (self.n - 1) * self.delta > budget:
-            raise CertificateError("n is not minimal")
-        if self.eps != Fraction(1, 2 * self.n):
-            raise CertificateError("eps does not follow the 1/(2n) rule")
-        if (1 + self.eps) ** self.n >= 2:
-            raise CertificateError("(1+eps)^n must stay below 2")
-        if not (len(self.branch) == len(self.blocks) == len(self.stage_norms) == self.n):
-            raise CertificateError("stage count mismatch")
-        for m, path in enumerate(self.branch):
-            prefix = self.branch[m - 1] if m else ()
-            if len(path) != m + 1 or path[:m] != prefix:
-                raise CertificateError("branch is not a chain of extending paths")
-        scale = Fraction(1, 2 ** (1 + b))
-        threshold = self.eps / 2**b
-        running = constant(space.ambient, 0)
-        growth = Fraction(1)  # (1+eps)^m, as a running product
-        for m, block in enumerate(self.blocks):
-            if _leaves_unit_ball(block, space):
-                raise CertificateError(f"block {m + 1} leaves the unit ball")
-            if sup_on(block, phi(running, space, self.eps)) >= threshold:
-                raise CertificateError(f"block {m + 1} is not small on the critical set")
-            running = step_add(running, step_scale(block, scale))
-            norm = grasberg_norm(running, space)
-            if norm != self.stage_norms[m]:
-                raise CertificateError(f"stage norm {m + 1} does not recompute")
-            if norm > growth:
-                raise CertificateError(f"stage bound fails at stage {m + 1}")
-            growth *= 1 + self.eps
-        final = step_scale(reduce(step_add, self.blocks), Fraction(1, self.n))
-        if final != self.final:
-            raise CertificateError("final function does not recompute")
-        final_norm = grasberg_norm(final, space)
-        if final_norm != self.final_norm:
-            raise CertificateError("final norm does not recompute")
-        if final_norm != Fraction(2 ** (1 + b), self.n) * self.stage_norms[-1]:
-            raise CertificateError("homogeneity identity fails")
-        if final_norm >= self.delta:
-            raise CertificateError("final norm is not below delta")
+        if self.delta <= 0:
+            raise CertificateError("delta must be positive")
+
+        def replay(m, path, critical, threshold):
+            if m >= len(self.branch) or len(self.branch) != len(self.blocks):
+                raise CertificateError("stage count mismatch")
+            return self.branch[m], self.blocks[m]
+
+        again = _stages(space, self.delta, replay)
+        differ = [f.name for f in fields(self) if getattr(self, f.name) != getattr(again, f.name)]
+        if differ:
+            raise CertificateError(f"fields do not recompute: {', '.join(differ)}")
         return True
+
+
+def _stages(space: ClosedSet, delta: Fraction, choose) -> ExtractionCertificate:
+    """The stage recurrence: building (extract_small_combination) and checking
+    (ExtractionCertificate.verify) differ only in choose(m, path, critical,
+    threshold), which gives stage m's path and block.  Every link of the
+    chain of bounds in extract_small_combination is checked on exact values.
+    """
+    b = params(space).b
+    n = int(Fraction(2 ** (2 + b)) / delta) + 1
+    eps = Fraction(1, 2 * n)
+    if (1 + eps) ** n >= 2:
+        raise CertificateError("(1+eps)^n must stay below 2")
+    threshold = eps / 2**b
+    scale = Fraction(1, 2 ** (1 + b))
+
+    running = constant(space.ambient, 0)
+    growth = Fraction(1)  # (1+eps)^m, as a running product
+    path: tuple[int, ...] = ()
+    branch: list[tuple[int, ...]] = []
+    blocks: list[StepFunction] = []
+    stage_norms: list[Fraction] = []
+
+    for m in range(n):
+        critical = phi(running, space, eps)
+        step, block = choose(m, path, critical, threshold)
+        if len(step) != m + 1 or step[:m] != path:
+            raise CertificateError("branch is not a chain of extending paths")
+        if block.ambient != space.ambient:
+            raise CertificateError(f"block {m + 1} lives on a different ambient interval")
+        if _leaves_unit_ball(block, space):
+            raise CertificateError(f"block {m + 1} leaves the unit ball")
+        if sup_on(block, critical) >= threshold:
+            raise CertificateError(f"block {m + 1} is not small on the critical set")
+        path = step
+        running = step_add(running, step_scale(block, scale))
+        norm = grasberg_norm(running, space)
+        if norm > growth:
+            raise CertificateError(f"stage bound fails at stage {m + 1}")
+        growth *= 1 + eps
+        branch.append(path)
+        blocks.append(block)
+        stage_norms.append(norm)
+
+    final = step_scale(reduce(step_add, blocks), Fraction(1, n))
+    final_norm = grasberg_norm(final, space)
+    if final_norm != Fraction(2 ** (1 + b), n) * stage_norms[-1]:
+        raise CertificateError("homogeneity identity fails")
+    if final_norm >= delta:
+        raise CertificateError("final norm is not below delta")
+    return ExtractionCertificate(
+        branch=tuple(branch),
+        blocks=tuple(blocks),
+        stage_norms=tuple(stage_norms),
+        eps=eps,
+        n=n,
+        final=final,
+        final_norm=final_norm,
+        delta=delta,
+    )
 
 
 def extract_small_combination(
@@ -220,8 +250,8 @@ def extract_small_combination(
     a run costs about n^2 probes.  Only when the probe budget runs out is a
     witness point computed for the error: the first point of the critical set
     where the last candidate is largest, found from the candidate's pieces
-    without listing points.  The certificate is verified before it is
-    returned, which checks (1+eps)^n < 2 and every stage bound.
+    without listing points.  The certificate is built by the same stage loop
+    that verify(space) replays, which checks (1+eps)^n < 2 and every bound.
     """
     if max_probes < 0:
         raise ValueError("max_probes must be >= 0")
@@ -236,21 +266,9 @@ def extract_small_combination(
             "extraction supports only spaces of finite height "
             f"(cb a finite successor); this space has o = {format_ordinal(p.o)}"
         )
-    b = p.b
-    n = int(Fraction(2 ** (2 + b)) / delta) + 1
-    eps = Fraction(1, 2 * n)
-    threshold = eps / 2**b
-    scale = Fraction(1, 2 ** (1 + b))
     budget = max_probes if family.search_limit is None else min(max_probes, family.search_limit)
 
-    running = constant(space.ambient, 0)
-    path: tuple[int, ...] = ()
-    branch: list[tuple[int, ...]] = []
-    blocks: list[StepFunction] = []
-    stage_norms: list[Fraction] = []
-
-    for _ in range(n):
-        critical = phi(running, space, eps)
+    def probe(m, path, critical, threshold):
         if compare(cb_index(critical), ONE) > 0:
             raise AssertionError("critical set must be finite at finite height")
         candidate = None
@@ -263,31 +281,12 @@ def extract_small_combination(
             if _leaves_unit_ball(candidate, space):
                 raise FamilyContractError(path + (k,), None, "function exceeds the unit ball")
             if sup_on(candidate, critical) < threshold:
-                path = path + (k,)
-                break
-        else:
-            raise FamilyContractError(
-                path,
-                None if candidate is None else argmax_on(candidate, critical),
-                f"no child fell below {threshold} on the critical set "
-                f"within {budget} probes",
-            )
-        branch.append(path)
-        blocks.append(candidate)
-        running = step_add(running, step_scale(candidate, scale))
-        stage_norms.append(grasberg_norm(running, space))
+                return path + (k,), candidate
+        raise FamilyContractError(
+            path,
+            None if candidate is None else argmax_on(candidate, critical),
+            f"no child fell below {threshold} on the critical set "
+            f"within {budget} probes",
+        )
 
-    final = step_scale(reduce(step_add, blocks), Fraction(1, n))
-    final_norm = grasberg_norm(final, space)
-    certificate = ExtractionCertificate(
-        branch=tuple(branch),
-        blocks=tuple(blocks),
-        stage_norms=tuple(stage_norms),
-        eps=eps,
-        n=n,
-        final=final,
-        final_norm=final_norm,
-        delta=delta,
-    )
-    certificate.verify(space)
-    return certificate
+    return _stages(space, delta, probe)

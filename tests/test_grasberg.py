@@ -508,6 +508,13 @@ def test_indicator_window():
     assert value_at(f, from_int(5)) == 0
 
 
+def test_indicator_edges():
+    # (lo, hi] leaves lo out, except that lo = 0 gives [0, hi]
+    three = from_int(3)
+    assert value_at(indicator(OMEGA, ZERO, three), ZERO) == 1
+    assert value_at(indicator(OMEGA, ONE, three), ONE) == 0
+
+
 # --- random generator ----------------------------------------------------------
 
 

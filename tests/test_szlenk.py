@@ -355,29 +355,82 @@ def test_certificate_json_keys():
     assert all(isinstance(path, list) for path in data["branch"])
 
 
-def test_certificate_detects_tampering():
+def _block(m, block):
+    return lambda c: {"blocks": c.blocks[:m] + (block,) + c.blocks[m + 1 :]}
+
+
+def _broken_path(c):
+    broken = (c.branch[0][0] + 1,) + c.branch[1][1:]
+    return {"branch": (c.branch[0], broken) + c.branch[2:]}
+
+
+def _both_longer(c):
+    return {"branch": c.branch + (c.branch[-1] + (0,),), "blocks": c.blocks + (c.blocks[-1],)}
+
+
+# (id, fields to replace in the w, 1/2 certificate, message the replay must give)
+TAMPERING = [
+    ("n", lambda c: {"n": c.n + 1}, "do not recompute: n$"),
+    ("eps", lambda c: {"eps": Fraction(1, 35)}, "do not recompute: eps$"),
+    (
+        "stage_norms",
+        lambda c: {"stage_norms": c.stage_norms[:-1] + (Fraction(99),)},
+        "do not recompute: stage_norms$",
+    ),
+    ("final", lambda c: {"final": constant(OMEGA, 0)}, "do not recompute: final$"),
+    ("final_norm", lambda c: {"final_norm": Fraction(1, 1000)}, "do not recompute: final_norm$"),
+    ("delta-changes-n", lambda c: {"delta": Fraction(1, 4)}, "stage count mismatch"),
+    ("delta-zero", lambda c: {"delta": Fraction(0)}, "delta must be positive"),
+    ("delta-negative", lambda c: {"delta": Fraction(-1, 2)}, "delta must be positive"),
+    ("branch-shorter", lambda c: {"branch": c.branch[:-1]}, "stage count mismatch"),
+    ("blocks-shorter", lambda c: {"blocks": c.blocks[:-1]}, "stage count mismatch"),
+    ("both-longer", _both_longer, "do not recompute: branch, blocks$"),
+    ("broken-path", _broken_path, "branch is not a chain of extending paths"),
+    ("block-not-small", _block(1, constant(OMEGA, 1)), "block 2 is not small on the critical set"),
+    (
+        "block-first-one",
+        _block(0, constant(OMEGA, 1)),
+        "do not recompute: stage_norms, final, final_norm$",
+    ),
+    ("block-too-big", _block(0, constant(OMEGA, 2)), "block 1 leaves the unit ball"),
+    (
+        "block-other-ambient",
+        _block(0, constant(parse("w+1"), 0)),
+        "block 1 lives on a different ambient interval",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "changes, message", [row[1:] for row in TAMPERING], ids=[row[0] for row in TAMPERING]
+)
+def test_certificate_detects_tampering(changes, message):
     space = interval(OMEGA)
     cert = extract_small_combination(space, marching_indicators(space), Fraction(1, 2))
-    forged_norm = dataclasses.replace(cert, final_norm=Fraction(1, 1000))
-    with pytest.raises(CertificateError):
-        forged_norm.verify(space)
-    forged_stage = dataclasses.replace(
-        cert, stage_norms=cert.stage_norms[:-1] + (Fraction(99),)
-    )
-    with pytest.raises(CertificateError):
-        forged_stage.verify(space)
-    broken = (cert.branch[0][0] + 1,) + cert.branch[1][1:]
-    forged_branch = dataclasses.replace(cert, branch=(cert.branch[0], broken) + cert.branch[2:])
-    with pytest.raises(CertificateError):
-        forged_branch.verify(space)
-    forged_block = dataclasses.replace(
-        cert, blocks=(constant(OMEGA, 1),) + cert.blocks[1:]
-    )
-    with pytest.raises(CertificateError):
-        forged_block.verify(space)
-    too_big = dataclasses.replace(cert, blocks=(constant(OMEGA, 2),) + cert.blocks[1:])
-    with pytest.raises(CertificateError, match="block 1 leaves the unit ball"):
-        too_big.verify(space)
+    forged = dataclasses.replace(cert, **changes(cert))
+    with pytest.raises(CertificateError, match=message):
+        forged.verify(space)
+
+
+def test_extraction_applies_the_stage_bound(monkeypatch):
+    # extraction does not call verify; the stage loop it shares with verify checks the bounds
+    monkeypatch.setattr(ordspace.szlenk, "grasberg_norm", lambda f, space: Fraction(3))
+    space = interval(OMEGA)
+    with pytest.raises(CertificateError, match="stage bound fails at stage 1"):
+        extract_small_combination(space, marching_indicators(space), Fraction(1, 2))
+
+
+def test_extraction_checks_the_homogeneity_identity(monkeypatch):
+    calls = []
+
+    def norm(f, space):
+        calls.append(f)  # the 17 stage norms are right, the final one is doubled
+        return grasberg_norm(f, space) * (2 if len(calls) == 18 else 1)
+
+    monkeypatch.setattr(ordspace.szlenk, "grasberg_norm", norm)
+    space = interval(OMEGA)
+    with pytest.raises(CertificateError, match="homogeneity identity fails"):
+        extract_small_combination(space, marching_indicators(space), Fraction(1, 2))
 
 
 # --- behaviour lock -----------------------------------------------------------------
@@ -416,3 +469,4 @@ def test_certificate_digest_locked(text, delta, ladder, n, digest):
     cert = extract_small_combination(space, family, Fraction(delta))
     assert cert.n == n
     assert certificate_digest(cert) == digest
+    assert cert.verify(space)
