@@ -59,7 +59,7 @@ class GrasbergParams(namedtuple("GrasbergParams", "o b cb")):
 def params(space: ClosedSet) -> GrasbergParams:
     """Norm parameters of an infinite space; errors on finite spaces."""
     cb = cb_index(space)
-    if compare(cb, ONE) <= 0:
+    if cb <= ONE:
         raise ValueError("Grasberg parameters need an infinite space (cb index >= 2)")
     lam = predecessor(cb)
     o = leading_exponent(lam)
@@ -94,7 +94,7 @@ class StepFunction:
     merge then runs.
     """
 
-    __slots__ = ("ambient", "breakpoints", "values", "_hash")
+    __slots__ = ("ambient", "breakpoints", "values")
 
     def __init__(
         self,
@@ -111,7 +111,7 @@ class StepFunction:
             if breakpoints[-1] != ambient:
                 raise ValueError("last breakpoint must equal the ambient ordinal")
             for x, y in zip(breakpoints, breakpoints[1:]):
-                if compare(x, y) >= 0:
+                if x >= y:
                     raise ValueError("breakpoints must be strictly increasing")
             values = [Fraction(v) for v in values]
         merged_b: list[Ordinal] = []
@@ -125,7 +125,6 @@ class StepFunction:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "breakpoints", tuple(merged_b))
         object.__setattr__(self, "values", tuple(merged_v))
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("StepFunction is immutable")
@@ -143,11 +142,7 @@ class StepFunction:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(
-                self, "_hash", hash((self.ambient, self.breakpoints, self.values))
-            )
-        return self._hash
+        return hash((self.ambient, self.breakpoints, self.values))
 
     def __repr__(self) -> str:
         body = ", ".join(
@@ -162,7 +157,7 @@ def constant(ambient: Ordinal, value: Rational) -> StepFunction:
 
 def indicator(ambient: Ordinal, lo: Ordinal, hi: Ordinal) -> StepFunction:
     """The indicator of the window (lo, hi] inside [0, ambient]; of [0, hi] when lo = 0."""
-    if compare(hi, ambient) > 0 or compare(lo, hi) > 0:
+    if hi > ambient or lo > hi:
         raise ValueError("indicator window must satisfy lo <= hi <= ambient")
     if lo == hi:
         return constant(ambient, 0)
@@ -173,14 +168,14 @@ def indicator(ambient: Ordinal, lo: Ordinal, hi: Ordinal) -> StepFunction:
         vals.append(Fraction(0))
     bps.append(hi)
     vals.append(Fraction(1))
-    if compare(hi, ambient) < 0:
+    if hi < ambient:
         bps.append(ambient)
         vals.append(Fraction(0))
     return StepFunction(ambient, bps, vals, _trusted=True)
 
 
 def value_at(f: StepFunction, point: Ordinal) -> Fraction:
-    if compare(point, f.ambient) > 0:
+    if point > f.ambient:
         raise ValueError(f"point {point} outside [0, {f.ambient}]")
     return f.values[bisect_left(f.breakpoints, point)]
 
@@ -320,7 +315,7 @@ def check_king(f: StepFunction, space: ClosedSet, eps: Rational) -> KingReport:
     cb_phi = cb_index(critical)
     bound = omega_pow(p.o)
     return KingReport(
-        phi=critical, cb_phi=cb_phi, bound=bound, passed=compare(cb_phi, bound) <= 0
+        phi=critical, cb_phi=cb_phi, bound=bound, passed=cb_phi <= bound
     )
 
 
@@ -392,7 +387,7 @@ def random_ordinal(rng: random.Random, bound: Ordinal) -> Ordinal:
         if e.is_zero():
             break
         exp_bound = e
-    if compare(acc, bound) <= 0:
+    if acc <= bound:
         return acc
     return bound
 
@@ -430,11 +425,11 @@ def random_step_function(
                 first = roundup(atom.lo, atom.mu)
                 pool.add(first)
                 second = add(first, omega_pow(atom.mu))
-                if compare(second, atom.hi) <= 0:
+                if second <= atom.hi:
                     pool.add(second)
     for _ in range(3 * max_pieces + 4):
         pool.add(random_ordinal(rng, ambient))
-    candidates = sorted(x for x in pool if compare(x, ambient) < 0)
+    candidates = sorted(x for x in pool if x < ambient)
 
     count = rng.randint(1, max_pieces)
     chosen = rng.sample(candidates, min(count - 1, len(candidates)))

@@ -1,9 +1,10 @@
 """Exact arithmetic for ordinals below epsilon-zero, in Cantor normal form.
 
-An ordinal is stored as its CNF term list: a tuple of (exponent, coefficient)
-pairs with exponents (themselves ordinals) strictly decreasing and integer
+An ordinal is the tuple of its CNF terms: (exponent, coefficient) pairs
+with exponents (themselves ordinals) strictly decreasing and integer
 coefficients >= 1.  The empty tuple is 0, and the denoted ordinal is
-sum of w^exponent_i * coefficient_i.
+sum of w^exponent_i * coefficient_i.  Tuple equality, hashing and order
+are therefore the ordinal ones (see compare).
 
 Text notation (whitespace insignificant):
 
@@ -30,74 +31,50 @@ class ParseError(ValueError):
         self.position = position
 
 
-class Ordinal:
-    """An ordinal below epsilon-zero in Cantor normal form.
+class Ordinal(tuple):
+    """An ordinal below epsilon-zero in Cantor normal form: the tuple of its terms.
 
-    Immutable and totally ordered.  Construct via :func:`from_int`,
-    :func:`omega_pow`, :func:`parse` or the arithmetic functions rather
-    than by passing raw term tuples.
+    ``len(a)`` is the number of terms, iteration yields the pairs and
+    ``a == tuple(a)``, so ``ZERO == ()``.  ``+`` and ``*`` raise TypeError
+    instead of joining or repeating terms: use :func:`add` and :func:`mul_nat`.
+    ``Ordinal(terms)`` checks CNF; copy and pickle protocols >= 2 rebuild
+    through it.
+    Construct via :func:`from_int`, :func:`omega_pow`, :func:`parse` or the
+    arithmetic functions rather than by passing raw term tuples.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ()
 
-    def __init__(self, terms: Iterable[tuple["Ordinal", int]] = ()):
-        _set_terms(self, _validated(terms))
+    def __new__(cls, terms: Iterable[tuple["Ordinal", int]] = ()):
+        return tuple.__new__(cls, _validated(terms))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Ordinal is immutable")
+    @property
+    def terms(self) -> "Ordinal":
+        """The CNF term tuple, which is the ordinal itself."""
+        return self
 
-    def __reduce__(self):
-        return Ordinal, (self.terms,)
+    def _no_arithmetic(self, other):
+        raise TypeError("use add() and mul_nat() for ordinal arithmetic")
+
+    __add__ = __mul__ = __rmul__ = _no_arithmetic
 
     # ---- structural predicates ------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self
 
     def is_finite(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and self.terms[0][0].is_zero())
+        return not self or (len(self) == 1 and not self[0][0])
 
     def is_successor(self) -> bool:
-        return bool(self.terms) and self.terms[-1][0].is_zero()
+        return bool(self) and not self[-1][0]
 
     def __int__(self) -> int:
-        if self.is_zero():
+        if not self:
             return 0
         if not self.is_finite():
             raise ValueError(f"{self} is not finite")
-        return self.terms[0][1]
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    # ---- comparisons ------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        # _hash stays unset until first asked for: one slot write less per
-        # construction on the arithmetic hot path.
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(self.terms)
-            _set_hash(self, h)
-            return h
-
-    def __lt__(self, other: "Ordinal") -> bool:
-        return compare(self, other) < 0
-
-    def __le__(self, other: "Ordinal") -> bool:
-        return compare(self, other) <= 0
-
-    def __gt__(self, other: "Ordinal") -> bool:
-        return compare(self, other) > 0
-
-    def __ge__(self, other: "Ordinal") -> bool:
-        return compare(self, other) >= 0
+        return self[0][1]
 
     def __str__(self) -> str:
         return format_ordinal(self)
@@ -115,24 +92,20 @@ def _validated(terms: Iterable[tuple[Ordinal, int]]) -> tuple:
         if coeff < 1:
             raise ValueError("coefficients must be >= 1")
     for (e1, _), (e2, _) in zip(terms, terms[1:]):
-        if compare(e1, e2) <= 0:
+        if e1 <= e2:
             raise ValueError("exponents must be strictly decreasing")
     return terms
 
 
-_new = object.__new__
-_set_terms = Ordinal.terms.__set__
-_set_hash = Ordinal._hash.__set__
-
 # Exponents nest at most this deep in notation: w^(w^(...)) with at most
-# MAX_NESTING open "w^(".  It keeps the recursive compare, formatter and
-# encoders far from Python's recursion limit.
+# MAX_NESTING open "w^(".  It keeps the recursive tuple compare, formatter
+# and encoders far from Python's recursion limit.
 MAX_NESTING = 100
 
 ZERO = Ordinal()
 # The naturals below _SMALL, built once: every small natural a constructor
 # below returns is one of these objects, so equal small exponents are
-# identical and compare stops at the identity check.
+# identical and tuple comparison stops at the identity check.
 _SMALL = 256
 _NATURALS = (ZERO,) + tuple(Ordinal(((ZERO, n),)) for n in range(1, _SMALL))
 ONE = _NATURALS[1]
@@ -145,11 +118,9 @@ def _trusted(terms: tuple) -> Ordinal:
         return ZERO
     if len(terms) == 1:
         e, c = terms[0]
-        if not e.terms and c < _SMALL:
+        if not e and c < _SMALL:
             return _NATURALS[c]
-    a = _new(Ordinal)
-    _set_terms(a, terms)
-    return a
+    return tuple.__new__(Ordinal, terms)
 
 
 def from_int(n: int) -> Ordinal:
@@ -163,35 +134,26 @@ def from_int(n: int) -> Ordinal:
 def compare(a: Ordinal, b: Ordinal) -> int:
     """Total order on ordinals: -1, 0 or 1.
 
-    Lexicographic on the CNF term sequence, comparing exponents first,
-    then coefficients; a proper prefix is smaller.
+    CNF order is lexicographic on the terms, exponents first (recursively),
+    then coefficients, with a proper prefix smaller.  That is tuple order on
+    the (exponent, coefficient) pairs, since every constructor yields CNF.
     """
-    if a is b:
-        return 0
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        if ea is not eb:
-            c = compare(ea, eb)
-            if c != 0:
-                return c
-        if ca != cb:
-            return -1 if ca < cb else 1
-    if len(a.terms) == len(b.terms):
-        return 0
-    return -1 if len(a.terms) < len(b.terms) else 1
+    return (a > b) - (a < b)
 
 
 def add(a: Ordinal, b: Ordinal) -> Ordinal:
     """Ordinal sum a + b (non-commutative, absorbs small left terms)."""
-    if not b.terms:
+    # Slices of an ordinal are plain tuples, so a[:i] + b joins terms.
+    if not b:
         return a
-    eb, cb = b.terms[0]
-    for i, (ea, ca) in enumerate(a.terms):
+    eb, cb = b[0]
+    for i, (ea, ca) in enumerate(a):
         c = compare(ea, eb)
         if c < 0:
-            return _trusted(a.terms[:i] + b.terms)
+            return _trusted(a[:i] + b)
         if c == 0:
-            return _trusted(a.terms[:i] + ((eb, ca + cb),) + b.terms[1:])
-    return _trusted(a.terms + b.terms)
+            return _trusted(a[:i] + ((eb, ca + cb),) + b[1:])
+    return _trusted(a[:] + b)
 
 
 def mul_nat(a: Ordinal, k: int) -> Ordinal:
@@ -200,9 +162,9 @@ def mul_nat(a: Ordinal, k: int) -> Ordinal:
         raise TypeError("k must be an int")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not a.terms:
+    if not a:
         return ZERO
-    (e0, c0), tail = a.terms[0], a.terms[1:]
+    (e0, c0), tail = a[0], a[1:]
     return _trusted(((e0, c0 * k),) + tail)
 
 
@@ -213,19 +175,19 @@ def omega_pow(a: Ordinal) -> Ordinal:
 
 def omega_mul(mu: Ordinal, x: Ordinal) -> Ordinal:
     """Left product w^mu * x; shifts every CNF exponent of x up by mu."""
-    return _trusted(tuple([(add(mu, e), c) for e, c in x.terms]))
+    return _trusted(tuple([(add(mu, e), c) for e, c in x]))
 
 
 def leading_exponent(a: Ordinal) -> Ordinal:
     if a.is_zero():
         raise ValueError("zero has no leading exponent")
-    return a.terms[0][0]
+    return a[0][0]
 
 
 def last_exponent(a: Ordinal) -> Ordinal:
     if a.is_zero():
         raise ValueError("zero has no last exponent")
-    return a.terms[-1][0]
+    return a[-1][0]
 
 
 def successor(a: Ordinal) -> Ordinal:
@@ -236,7 +198,7 @@ def predecessor(a: Ordinal) -> Ordinal:
     """The b with b + 1 = a; defined for successor ordinals only."""
     if not a.is_successor():
         raise ValueError(f"{a} is not a successor ordinal")
-    head, (_, c) = a.terms[:-1], a.terms[-1]
+    head, (_, c) = a[:-1], a[-1]
     if c == 1:
         return _trusted(head)
     return _trusted(head + ((ZERO, c - 1),))
@@ -246,16 +208,16 @@ def left_subtract(a: Ordinal, b: Ordinal) -> Ordinal:
     """The unique c with a + c = b; requires a <= b."""
     if a.is_zero():
         return b
-    if b.is_zero() or compare(a, b) > 0:
+    if b.is_zero() or a > b:
         raise ValueError(f"cannot left-subtract {a} from smaller {b}")
-    (ea, ca), (eb, cb) = a.terms[0], b.terms[0]
+    (ea, ca), (eb, cb) = a[0], b[0]
     c = compare(ea, eb)
     if c < 0:
         return b  # a is absorbed entirely
     if ca < cb:
-        return _trusted(((eb, cb - ca),) + b.terms[1:])
+        return _trusted(((eb, cb - ca),) + b[1:])
     # equal head terms: recurse on the tails
-    return left_subtract(_trusted(a.terms[1:]), _trusted(b.terms[1:]))
+    return left_subtract(_trusted(a[1:]), _trusted(b[1:]))
 
 
 def divide_by_omega_pow(g: Ordinal, mu: Ordinal) -> tuple[Ordinal, Ordinal]:
@@ -266,8 +228,8 @@ def divide_by_omega_pow(g: Ordinal, mu: Ordinal) -> tuple[Ordinal, Ordinal]:
     exactly when the remainder is 0.
     """
     quot, rem = [], []
-    for e, c in g.terms:
-        if compare(e, mu) >= 0:
+    for e, c in g:
+        if e >= mu:
             quot.append((left_subtract(mu, e), c))
         else:
             rem.append((e, c))
@@ -279,7 +241,7 @@ def tower_index(z: Ordinal) -> Ordinal:
 
     Equivalently the leading exponent of the leading exponent of z.
     """
-    if compare(z, OMEGA) < 0:
+    if z < OMEGA:
         raise ValueError(f"tower index needs z >= w, got {z}")
     return leading_exponent(leading_exponent(z))
 
@@ -325,7 +287,7 @@ class _Parser:
             self.pos += 1
             terms.append(self.parse_term())
         for (e1, _, _), (e2, _, pos2) in zip(terms, terms[1:]):
-            if compare(e1, e2) <= 0:
+            if e1 <= e2:
                 raise ParseError("exponents must be strictly decreasing", pos2)
         return _trusted(tuple([(e, c) for e, c, _ in terms]))
 
@@ -371,7 +333,7 @@ def format_ordinal(a: Ordinal) -> str:
     if a.is_zero():
         return "0"
     parts = []
-    for e, c in a.terms:
+    for e, c in a:
         if e.is_zero():
             parts.append(str(c))
             continue
@@ -384,7 +346,7 @@ def format_ordinal(a: Ordinal) -> str:
 
 
 def to_json(a: Ordinal) -> list:
-    return [[to_json(e), c] for e, c in a.terms]
+    return [[to_json(e), c] for e, c in a]
 
 
 def from_json(data, _depth: int = 0) -> Ordinal:
@@ -404,10 +366,10 @@ def from_json(data, _depth: int = 0) -> Ordinal:
 
 def validate(a: Ordinal) -> None:
     """Assert the CNF invariants recursively; for tests."""
-    for e, c in a.terms:
+    for e, c in a:
         if type(c) is not int or c < 1:
             raise AssertionError("coefficient not an int >= 1")
         validate(e)
-    for (e1, _), (e2, _) in zip(a.terms, a.terms[1:]):
-        if compare(e1, e2) <= 0:
+    for (e1, _), (e2, _) in zip(a, a[1:]):
+        if e1 <= e2:
             raise AssertionError("exponents not strictly decreasing")

@@ -23,7 +23,6 @@ from .ordinal import (
     ZERO,
     Ordinal,
     add,
-    compare,
     format_ordinal,
     leading_exponent,
     omega_pow,
@@ -75,7 +74,7 @@ def index_of_CK(space: ClosedSet) -> SzlenkResult:
     if is_empty(space):
         raise ValueError("the space must be non-empty")
     cb = cb_index(space)
-    if compare(cb, ONE) <= 0:
+    if cb <= ONE:
         exponent = ZERO
     else:
         lam = predecessor(cb)
@@ -85,7 +84,7 @@ def index_of_CK(space: ClosedSet) -> SzlenkResult:
 
 def index_of_interval(z: Ordinal) -> SzlenkResult:
     """Index of C([0, z]) for infinite z, via the double leading exponent."""
-    if compare(z, omega_pow(ONE)) < 0:
+    if z < omega_pow(ONE):
         raise ValueError("z must be at least w; use index_of_CK for finite intervals")
     exponent = add(tower_index(z), ONE)
     return SzlenkResult(
@@ -154,6 +153,8 @@ class ExtractionCertificate:
         compare every field with the recomputed certificate; raise on any mismatch."""
         if not params(space).o.is_zero():
             raise CertificateError("certificate requires a space of finite height")
+        if not isinstance(self.delta, Fraction):
+            raise CertificateError("delta must be a Fraction")
         if self.delta <= 0:
             raise CertificateError("delta must be positive")
 
@@ -269,7 +270,7 @@ def extract_small_combination(
     budget = max_probes if family.search_limit is None else min(max_probes, family.search_limit)
 
     def probe(m, path, critical, threshold):
-        if compare(cb_index(critical), ONE) > 0:
+        if cb_index(critical) > ONE:
             raise AssertionError("critical set must be finite at finite height")
         candidate = None
         for k in range(budget):

@@ -21,7 +21,6 @@ from .ordinal import (
     ZERO,
     Ordinal,
     add,
-    compare,
     divide_by_omega_pow,
     format_ordinal,
     from_json as ordinal_from_json,
@@ -42,7 +41,7 @@ class Stratum(namedtuple("Stratum", "lo hi mu")):
     __slots__ = ()
 
     def __new__(cls, lo: Ordinal, hi: Ordinal, mu: Ordinal):
-        if compare(lo, hi) >= 0:
+        if lo >= hi:
             raise ValueError("stratum window needs lo < hi")
         return tuple.__new__(cls, (lo, hi, mu))
 
@@ -57,7 +56,7 @@ def roundup(lo: Ordinal, nu: Ordinal) -> Ordinal:
 
 
 def stratum_nonempty(lo: Ordinal, hi: Ordinal, mu: Ordinal) -> bool:
-    return compare(lo, hi) < 0 and compare(roundup(lo, mu), hi) <= 0
+    return lo < hi and roundup(lo, mu) <= hi
 
 
 def max_stratum_exponent(lo: Ordinal, hi: Ordinal) -> Ordinal:
@@ -68,12 +67,12 @@ def max_stratum_exponent(lo: Ordinal, hi: Ordinal) -> Ordinal:
     common CNF prefix of lo and hi; once they first differ, the leading
     exponent of the remaining part of hi is the answer.
     """
-    if compare(lo, hi) >= 0:
+    if lo >= hi:
         raise ValueError("max_stratum_exponent needs lo < hi")
     i = 0
-    while i < len(lo.terms) and lo.terms[i] == hi.terms[i]:
+    while i < len(lo) and lo[i] == hi[i]:
         i += 1
-    return hi.terms[i][0]
+    return hi[i][0]
 
 
 def clip_atom(
@@ -87,21 +86,21 @@ def clip_atom(
     """
     if isinstance(atom, Singleton):
         p = atom.point
-        if compare(p, upper) > 0 or (lower is not None and compare(lower, p) >= 0):
+        if p > upper or (lower is not None and lower >= p):
             return None
         return p if least else atom
-    lo = atom.lo if lower is None or compare(atom.lo, lower) >= 0 else lower
-    hi = atom.hi if compare(atom.hi, upper) <= 0 else upper
-    if compare(lo, hi) >= 0:
+    lo = atom.lo if lower is None or atom.lo >= lower else lower
+    hi = atom.hi if atom.hi <= upper else upper
+    if lo >= hi:
         return None
     if not least:
         return Stratum(lo, hi, atom.mu)
     first = roundup(lo, atom.mu)
-    return first if compare(first, hi) <= 0 else None
+    return first if first <= hi else None
 
 
 def _stratum_contains(s: Stratum, g: Ordinal) -> bool:
-    if compare(g, s.lo) <= 0 or compare(g, s.hi) > 0:
+    if g <= s.lo or g > s.hi:
         return False
     _, rem = divide_by_omega_pow(g, s.mu)
     return rem.is_zero()
@@ -152,7 +151,7 @@ class ClosedSet:
 def _holder(run: list[Stratum], g: Ordinal) -> Stratum | None:
     """The window of a run (disjoint windows sorted by lo) with lo < g <= hi, if any."""
     i = bisect_left(run, g, key=lambda s: s.lo) - 1
-    return run[i] if i >= 0 and compare(g, run[i].hi) <= 0 else None
+    return run[i] if i >= 0 and g <= run[i].hi else None
 
 
 def _normalize(ambient: Ordinal, atoms: Iterable[Atom]) -> tuple[Atom, ...]:
@@ -160,13 +159,13 @@ def _normalize(ambient: Ordinal, atoms: Iterable[Atom]) -> tuple[Atom, ...]:
     strata: list[Stratum] = []
     for atom in atoms:
         if isinstance(atom, Singleton):
-            if compare(atom.point, ambient) > 0:
+            if atom.point > ambient:
                 raise ValueError(f"point {atom.point} outside [0, {ambient}]")
             singles.add(atom.point)
         elif isinstance(atom, Stratum):
-            if compare(atom.lo, atom.hi) >= 0:
+            if atom.lo >= atom.hi:
                 raise ValueError("stratum requires lo < hi")
-            if compare(atom.hi, ambient) > 0:
+            if atom.hi > ambient:
                 raise ValueError(f"stratum reaches {atom.hi}, outside [0, {ambient}]")
             if stratum_nonempty(atom.lo, atom.hi, atom.mu):
                 strata.append(atom)
@@ -180,9 +179,9 @@ def _normalize(ambient: Ordinal, atoms: Iterable[Atom]) -> tuple[Atom, ...]:
         last = runs[-1][-1] if runs else None
         if last is None or last.mu != s.mu:
             runs.append([s])
-        elif compare(s.lo, last.hi) > 0:
+        elif s.lo > last.hi:
             runs[-1].append(s)
-        elif compare(s.hi, last.hi) > 0:
+        elif s.hi > last.hi:
             runs[-1][-1] = Stratum(last.lo, s.hi, s.mu)
 
     # drop strata whose window lies in a window of a strictly coarser level
@@ -190,14 +189,14 @@ def _normalize(ambient: Ordinal, atoms: Iterable[Atom]) -> tuple[Atom, ...]:
     for depth, run in enumerate(runs):
         for s in run:
             holders = (_holder(coarser, s.hi) for coarser in runs[:depth])
-            if not any(o is not None and compare(o.lo, s.lo) <= 0 for o in holders):
+            if not any(o is not None and o.lo <= s.lo for o in holders):
                 kept.append(s)
 
     # rewrite one-point strata as singletons
     final_strata: list[Stratum] = []
     for s in kept:
         first = roundup(s.lo, s.mu)
-        if compare(add(first, omega_pow(s.mu)), s.hi) > 0:
+        if add(first, omega_pow(s.mu)) > s.hi:
             singles.add(first)
         else:
             final_strata.append(s)
@@ -217,7 +216,7 @@ def interval(z: Ordinal) -> ClosedSet:
 
 
 def contains(space: ClosedSet, g: Ordinal) -> bool:
-    if compare(g, space.ambient) > 0:
+    if g > space.ambient:
         raise ValueError(f"point {g} outside [0, {space.ambient}]")
     for atom in space.atoms:
         if isinstance(atom, Singleton):
@@ -273,11 +272,11 @@ def finite_points(space: ClosedSet) -> tuple[Ordinal, ...] | None:
         if isinstance(atom, Singleton):
             points.add(atom.point)
             continue
-        if compare(roundup(atom.lo, add(atom.mu, ONE)), atom.hi) <= 0:
+        if roundup(atom.lo, add(atom.mu, ONE)) <= atom.hi:
             return None
         step = omega_pow(atom.mu)
         m = roundup(atom.lo, atom.mu)
-        while compare(m, atom.hi) <= 0:
+        while m <= atom.hi:
             points.add(m)
             m = add(m, step)
     return tuple(sorted(points))

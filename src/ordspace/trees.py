@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Hashable, Mapping
 
-from .ordinal import ONE, Ordinal, compare, mul_nat
+from .ordinal import ONE, Ordinal, mul_nat
 
 Node = Hashable
 
@@ -25,7 +25,7 @@ class FiniteTree:
     insertion order is kept for deterministic iteration and serialization.
     """
 
-    __slots__ = ("_parent", "_children", "_height", "_hash")
+    __slots__ = ("_parent", "_children", "_height")
 
     def __init__(self, parent: Mapping[Node, Node | None]):
         parent_map: dict[Node, Node | None] = dict(parent)
@@ -60,7 +60,6 @@ class FiniteTree:
         object.__setattr__(self, "_parent", parent_map)
         object.__setattr__(self, "_children", {n: tuple(k) for n, k in children.items()})
         object.__setattr__(self, "_height", height)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteTree is immutable")
@@ -94,11 +93,7 @@ class FiniteTree:
         return self._parent == other._parent
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(
-                self, "_hash", hash(frozenset(self._parent.items()))
-            )
-        return self._hash
+        return hash(frozenset(self._parent.items()))
 
     def __repr__(self) -> str:
         return f"FiniteTree({len(self)} nodes, rank {rank(self)})"
@@ -316,7 +311,7 @@ def marching_indicators(space: ClosedSet, step: Ordinal = ONE) -> WeaklyNullFami
     ambient = space.ambient
 
     def clamp(x: Ordinal) -> Ordinal:
-        return x if compare(x, ambient) <= 0 else ambient
+        return x if x <= ambient else ambient
 
     def at(path: tuple[int, ...]) -> StepFunction:
         if not path:
@@ -337,29 +332,44 @@ def zero_family(space: ClosedSet) -> WeaklyNullFamily:
 def family_from_table(space: ClosedSet, table: dict) -> WeaklyNullFamily:
     """Family given by a finite table {path -> step function}.
 
-    The table maps explicit paths to functions; unlisted paths fall back to
-    the optional default, else to zero.  A cutoff is required: it caps the
-    child search, since a finite table cannot promise anything beyond it.
+    The table is an object {"cutoff": n, "entries": [{"path": [k, ...], "fn":
+    f}, ...], "default": f or null}: a required integer cutoff >= 1, paths of
+    integers >= 0, and v1 step-function JSON for every f.  Listed paths map
+    to their functions; unlisted paths fall back to the default, else to
+    zero.  The cutoff caps the child search, since a finite table cannot
+    promise anything beyond it.  A malformed table raises a ValueError that
+    names the field.
     """
     from .grasberg import constant, step_function_from_json
 
+    def decode(data, field: str) -> StepFunction:
+        try:
+            fn = step_function_from_json(data)
+        except ValueError as exc:
+            raise ValueError(f"family table {field}: {exc}") from None
+        if fn.ambient != space.ambient:
+            raise ValueError(f"family table {field} lives on a different ambient interval")
+        return fn
+
+    if not isinstance(table, dict):
+        raise ValueError("family table must be a JSON object")
     if "cutoff" not in table:
         raise ValueError("family table requires an explicit 'cutoff'")
-    cutoff = int(table["cutoff"])
-    if cutoff < 1:
-        raise ValueError("cutoff must be at least 1")
+    cutoff = table["cutoff"]
+    if type(cutoff) is not int or cutoff < 1:
+        raise ValueError(f"family table cutoff must be an integer >= 1, got {cutoff!r}")
+    items = table.get("entries", [])
+    if not isinstance(items, list):
+        raise ValueError("family table entries must be an array")
     entries: dict[tuple[int, ...], StepFunction] = {}
-    for item in table.get("entries", []):
-        path = tuple(int(k) for k in item["path"])
-        fn = step_function_from_json(item["fn"])
-        if fn.ambient != space.ambient:
-            raise ValueError(f"entry {list(path)} lives on a different ambient interval")
-        entries[path] = fn
-    default: StepFunction | None = None
-    if table.get("default") is not None:
-        default = step_function_from_json(table["default"])
-        if default.ambient != space.ambient:
-            raise ValueError("default function lives on a different ambient interval")
+    for i, item in enumerate(items):
+        if not (isinstance(item, dict) and "path" in item and "fn" in item):
+            raise ValueError(f"family table entries[{i}] must be an object with path and fn keys")
+        path = item["path"]
+        if not (isinstance(path, list) and all(type(k) is int and k >= 0 for k in path)):
+            raise ValueError(f"family table entries[{i}].path must be an array of integers >= 0")
+        entries[tuple(path)] = decode(item["fn"], f"entries[{i}].fn")
+    default = None if table.get("default") is None else decode(table["default"], "default")
     zero = constant(space.ambient, 0)
 
     def at(path: tuple[int, ...]) -> StepFunction:

@@ -4,7 +4,9 @@ import contextlib
 import importlib.resources
 import io
 import json
+import shlex
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import jsonschema
@@ -352,6 +354,41 @@ def test_extract_family_table_without_cutoff_is_exit_1(tmp_path):
     assert "cutoff" in out
 
 
+@pytest.mark.parametrize(
+    "table, field",
+    [
+        (5, "must be a JSON object"),
+        ({"cutoff": [1]}, "cutoff"),
+        ({"cutoff": 2.7}, "cutoff"),
+        ({"cutoff": True}, "cutoff"),
+        ({"cutoff": 1, "entries": 5}, "entries"),
+        ({"cutoff": 1, "entries": [{"fn": None}]}, "entries[0]"),
+        ({"cutoff": 1, "entries": [{"path": [0]}]}, "entries[0]"),
+        ({"cutoff": 1, "entries": [{"path": [0.5], "fn": None}]}, "entries[0].path"),
+        ({"cutoff": 1, "entries": [{"path": [0], "fn": 5}]}, "entries[0].fn"),
+        ({"cutoff": 1, "default": 5}, "default"),
+    ],
+    ids=[
+        "not-an-object",
+        "cutoff-list",
+        "cutoff-float",
+        "cutoff-bool",
+        "entries-number",
+        "entry-without-path",
+        "entry-without-fn",
+        "path-float",
+        "fn-number",
+        "default-number",
+    ],
+)
+def test_malformed_family_table_is_one_error_line(tmp_path, table, field):
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(table))
+    code, out = cap(["extract", "--space", "w", "--family", str(path), "--delta", "1/2"])
+    assert code == 1
+    assert one_line_error(out) and f"family table {field}" in out
+
+
 # --- schema -------------------------------------------------------------------------
 
 
@@ -529,3 +566,30 @@ def test_shrink_keeps_failing_input_without_improvement():
         return sup_on(f, space) >= 1
 
     assert shrink_step_function(start, still_failing) == start
+
+
+# --- README -------------------------------------------------------------------------
+
+
+def readme_samples():
+    """(argv, expected stdout) for each `$ ordspace ...` sample in the README's
+    Command line section."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    samples = []
+    for line in block.splitlines():
+        if line.startswith("$ ordspace "):
+            samples.append((shlex.split(line[len("$ ordspace "):]), []))
+        else:
+            samples[-1][1].append(line + "\n")
+    return [pytest.param(argv, "".join(out), id=" ".join(argv)) for argv, out in samples]
+
+
+@pytest.mark.parametrize("argv, expected", readme_samples())
+def test_readme_samples(argv, expected):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    assert code == 0
+    assert out.getvalue() == expected

@@ -1,5 +1,8 @@
 """Unit and property tests for exact CNF ordinal arithmetic."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -409,3 +412,106 @@ def test_constructors_reject_non_int_naturals():
             mul_nat(ONE, bad)
         with pytest.raises(TypeError):
             Ordinal(((ZERO, bad),))
+
+
+# --- the tuple representation --------------------------------------------------
+
+
+def reference_compare(a, b):
+    """The recursive CNF compare that tuple order replaced, kept as an oracle."""
+    if a is b:
+        return 0
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        if ea is not eb:
+            c = reference_compare(ea, eb)
+            if c != 0:
+                return c
+        if ca != cb:
+            return -1 if ca < cb else 1
+    if len(a.terms) == len(b.terms):
+        return 0
+    return -1 if len(a.terms) < len(b.terms) else 1
+
+
+class _Hashed:
+    """Stands in for an exponent whose hash is given."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+def reference_hash(a):
+    """The hash of the term tuple with every exponent hashed the same way, as
+    a hash cached from the terms gave it: hashes, and so set and dict orders
+    and digests, stay as they were."""
+    return hash(tuple((_Hashed(reference_hash(e)), c) for e, c in a.terms))
+
+
+@given(ordinals, ordinals)
+def test_tuple_order_is_the_cnf_order(a, b):
+    want = reference_compare(a, b)
+    assert compare(a, b) == want
+    assert (a < b, a <= b, a == b) == (want < 0, want <= 0, want == 0)
+    assert (tuple(a) < tuple(b), tuple(a) <= tuple(b)) == (want < 0, want <= 0)
+    assert a == tuple(a) and hash(a) == hash(tuple(a)) == reference_hash(a)
+    if want == 0:
+        assert hash(a) == hash(b)
+
+
+def test_tuple_view():
+    a = parse("w^(2)*3+w+5")
+    assert len(a) == 3 and list(a) == [(TWO, 3), (ONE, 1), (ZERO, 5)]
+    assert a.terms is a and a == ((TWO, 3), (ONE, 1), (ZERO, 5))
+    assert ZERO == () and len(ZERO) == 0 and not ZERO and OMEGA
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [
+        lambda: OMEGA + ONE,
+        lambda: OMEGA * 2,
+        lambda: 2 * OMEGA,
+        lambda: ZERO + (),
+        lambda: OMEGA * OMEGA,
+    ],
+    ids=["add", "mul", "rmul", "add-tuple", "mul-ordinal"],
+)
+def test_tuple_arithmetic_raises(operation):
+    with pytest.raises(TypeError):
+        operation()
+
+
+def test_ordinal_is_immutable():
+    a = parse("w+1")
+    with pytest.raises(AttributeError):
+        a.terms = ()
+    with pytest.raises(AttributeError):
+        a.anything = 1
+    assert a == parse("w+1")
+
+
+@pytest.mark.parametrize(
+    "terms, error",
+    [
+        (((ZERO, 1), (ONE, 1)), ValueError),  # increasing exponents
+        (((ONE, 1), (ONE, 2)), ValueError),  # equal exponents
+        (((ONE, 0),), ValueError),  # zero coefficient
+        (((1, 1),), TypeError),  # exponent not an Ordinal
+        ((((), 1),), TypeError),  # a plain tuple is not an Ordinal
+    ],
+)
+def test_constructor_rejects_non_cnf_terms(terms, error):
+    with pytest.raises(error):
+        Ordinal(terms)
+
+
+def test_copy_and_pickle_rebuild_through_the_validating_constructor():
+    # round trips of valid ordinals: tests/test_trees.py::test_immutable_types_copy_and_pickle
+    forged = tuple.__new__(Ordinal, ((ZERO, 1), (ONE, 1)))
+    with pytest.raises(ValueError):
+        copy.copy(forged)
+    with pytest.raises(ValueError):
+        pickle.loads(pickle.dumps(forged))

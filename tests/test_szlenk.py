@@ -382,6 +382,7 @@ TAMPERING = [
     ("delta-changes-n", lambda c: {"delta": Fraction(1, 4)}, "stage count mismatch"),
     ("delta-zero", lambda c: {"delta": Fraction(0)}, "delta must be positive"),
     ("delta-negative", lambda c: {"delta": Fraction(-1, 2)}, "delta must be positive"),
+    ("delta-float", lambda c: {"delta": 0.5}, "delta must be a Fraction"),
     ("branch-shorter", lambda c: {"branch": c.branch[:-1]}, "stage count mismatch"),
     ("blocks-shorter", lambda c: {"blocks": c.blocks[:-1]}, "stage count mismatch"),
     ("both-longer", _both_longer, "do not recompute: branch, blocks$"),
