@@ -47,6 +47,7 @@ from .topology import (
 )
 
 Rational = Fraction | int | str
+_NOUGHT, _UNIT = Fraction(0), Fraction(1)  # shared: a Fraction is immutable
 
 
 class GrasbergParams(namedtuple("GrasbergParams", "o b cb")):
@@ -152,7 +153,7 @@ class StepFunction:
 
 
 def constant(ambient: Ordinal, value: Rational) -> StepFunction:
-    return StepFunction(ambient, (ambient,), (value,))
+    return StepFunction(ambient, (ambient,), (Fraction(value),), _trusted=True)
 
 
 def indicator(ambient: Ordinal, lo: Ordinal, hi: Ordinal) -> StepFunction:
@@ -165,12 +166,12 @@ def indicator(ambient: Ordinal, lo: Ordinal, hi: Ordinal) -> StepFunction:
     vals: list[Fraction] = []
     if not lo.is_zero():
         bps.append(lo)
-        vals.append(Fraction(0))
+        vals.append(_NOUGHT)
     bps.append(hi)
-    vals.append(Fraction(1))
+    vals.append(_UNIT)
     if hi < ambient:
         bps.append(ambient)
-        vals.append(Fraction(0))
+        vals.append(_NOUGHT)
     return StepFunction(ambient, bps, vals, _trusted=True)
 
 
@@ -235,17 +236,19 @@ def sup_on(f: StepFunction, space: ClosedSet) -> Fraction:
     """Max of |f| over the set; 0 on the empty set.
 
     Costs about atoms * log(pieces) comparisons to find each atom's pieces,
-    plus a clip for each piece an atom covers whose |value| beats the best."""
+    plus a clip for each piece an atom covers whose |value| beats the best,
+    tested on integers: |num| * bd > bn * den, with best |value| = bn/bd."""
     if f.ambient != space.ambient:
         raise ValueError("function and set live on different ambient intervals")
     bps, values = f.breakpoints, f.values
-    best = Fraction(0)
+    best, bn, bd = _NOUGHT, 0, 1
     for atom in space.atoms:
         for i in _pieces_of(f, atom):
-            v = abs(values[i])
-            if v > best and clip_atom(atom, bps[i - 1] if i else None, bps[i], least=True) is not None:
-                best = v
-    return best
+            v = values[i]
+            if abs(v.numerator) * bd > bn * v.denominator and (
+                    clip_atom(atom, bps[i - 1] if i else None, bps[i], least=True) is not None):
+                best, bn, bd = v, abs(v.numerator), v.denominator
+    return abs(best)
 
 
 def argmax_on(f: StepFunction, space: ClosedSet) -> Ordinal | None:

@@ -20,6 +20,7 @@ so formatting is canonical.
 
 from __future__ import annotations
 
+import copyreg
 from collections.abc import Iterable
 
 
@@ -37,7 +38,7 @@ class Ordinal(tuple):
     ``len(a)`` is the number of terms, iteration yields the pairs and
     ``a == tuple(a)``, so ``ZERO == ()``.  ``+`` and ``*`` raise TypeError
     instead of joining or repeating terms: use :func:`add` and :func:`mul_nat`.
-    ``Ordinal(terms)`` checks CNF; copy and pickle protocols >= 2 rebuild
+    ``Ordinal(terms)`` checks CNF; copy and every pickle protocol rebuild
     through it.
     Construct via :func:`from_int`, :func:`omega_pow`, :func:`parse` or the
     arithmetic functions rather than by passing raw term tuples.
@@ -81,6 +82,10 @@ class Ordinal(tuple):
 
     def __repr__(self) -> str:
         return f"Ordinal({format_ordinal(self)!r})"
+
+
+# protocols 0 and 1 would otherwise rebuild a tuple subclass with tuple.__new__
+copyreg.pickle(Ordinal, lambda a: (Ordinal, (tuple(a),)))
 
 
 def _validated(terms: Iterable[tuple[Ordinal, int]]) -> tuple:

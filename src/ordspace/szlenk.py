@@ -118,8 +118,8 @@ class CertificateError(ValueError):
 
 
 def _leaves_unit_ball(f: StepFunction, space: ClosedSet) -> bool:
-    # a sup over a subset is at most the max, so only a |value| > 1 needs the sup
-    return any(abs(v) > 1 for v in f.values) and sup_on(f, space) > 1
+    # a sup over a subset is at most the max, so only a |value| > 1 (|num| > den) needs the sup
+    return any(abs(v.numerator) > v.denominator for v in f.values) and sup_on(f, space) > 1
 
 
 @dataclass(frozen=True)

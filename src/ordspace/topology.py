@@ -51,6 +51,8 @@ Atom = Singleton | Stratum
 
 def roundup(lo: Ordinal, nu: Ordinal) -> Ordinal:
     """Least multiple of w^nu strictly greater than lo."""
+    if not nu:  # every ordinal is a multiple of w^0
+        return add(lo, ONE)
     quotient, _ = divide_by_omega_pow(lo, nu)
     return omega_mul(nu, add(quotient, ONE))
 

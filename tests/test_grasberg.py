@@ -134,6 +134,15 @@ def test_sup_on_rejects_ambient_mismatch():
 # --- grasberg_norm -----------------------------------------------------------
 
 
+@pytest.mark.parametrize("value", [0, "1/2", -3, Fraction(7, 9)])
+def test_constant_equals_its_validated_rebuild(value):
+    for ambient in (ZERO, OMEGA):
+        f = constant(ambient, value)
+        assert f == StepFunction(ambient, f.breakpoints, f.values)
+        assert f == StepFunction(ambient, (ambient,), (value,))
+        assert f.values == (Fraction(value),) and type(f.values[0]) is Fraction
+
+
 def test_norm_constant_on_omega():
     assert grasberg_norm(constant(OMEGA, 1), interval(OMEGA)) == 2
 
@@ -448,6 +457,18 @@ BISECT_POOL = sorted(
 )
 # few magnitudes, both signs: many pieces tie in |value|
 TIE_VALUES = [Fraction(v) for v in ("-1", "-1/2", "0", "1/2", "1")]
+# numerators or denominators above 10**30, so that sup_on's integer
+# cross-products |num| * bd > bn * den run past 100 bits; the listed ones tie
+# in |value| or sit 1/10**40 from a tie
+BIG = 10**40
+BIG_VALUES = [Fraction(v) for v in (BIG + 1, -BIG - 1, 10**31)] + [
+    Fraction(n, d) for n, d in ((BIG + 1, BIG), (-BIG - 1, BIG), (BIG - 1, BIG), (-(10**31), 10**31 + 7))
+]
+STEP_VALUES = st.one_of(
+    st.sampled_from(TIE_VALUES),
+    st.sampled_from(BIG_VALUES),
+    st.builds(Fraction, st.integers(min_value=-BIG, max_value=BIG), st.integers(min_value=1, max_value=BIG)),
+)
 
 
 @st.composite
@@ -458,7 +479,7 @@ def step_functions_and_sets(draw):
     size = draw(st.integers(min_value=0, max_value=39))
     cuts = draw(st.lists(st.sampled_from(BISECT_POOL), min_size=size, max_size=size, unique=True))
     bps = sorted(cuts) + [BISECT_AMBIENT]
-    values = draw(st.lists(st.sampled_from(TIE_VALUES), min_size=len(bps), max_size=len(bps)))
+    values = draw(st.lists(STEP_VALUES, min_size=len(bps), max_size=len(bps)))
     f = StepFunction(BISECT_AMBIENT, bps, values)
     ends = BISECT_POOL + [BISECT_AMBIENT]
     atoms = []

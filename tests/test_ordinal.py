@@ -513,5 +513,10 @@ def test_copy_and_pickle_rebuild_through_the_validating_constructor():
     forged = tuple.__new__(Ordinal, ((ZERO, 1), (ONE, 1)))
     with pytest.raises(ValueError):
         copy.copy(forged)
-    with pytest.raises(ValueError):
-        pickle.loads(pickle.dumps(forged))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        with pytest.raises(ValueError):
+            pickle.loads(pickle.dumps(forged, protocol))
+    valid = parse("w^(w^(2)*3+w)*4+w*2+7")
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(valid, protocol))
+        assert back == valid and type(back) is Ordinal and type(back[0][0]) is Ordinal

@@ -324,6 +324,49 @@ def test_extraction_checks_the_unit_ball_on_the_space_only(cut, exceeds):
         assert cert.blocks == (default,) * cert.n and cert.final_norm == 0
 
 
+OVER = 1 + Fraction(1, 10**40)
+# (value on the space, value off it, leaves the ball, needs the whole-space sup)
+UNIT_BALL_BOUNDARY = [
+    (Fraction(1), 0, False, False),
+    (Fraction(-1), 0, False, False),
+    (OVER, 0, True, True),
+    (-OVER, 0, True, True),
+    (Fraction(-999, 1000), 0, False, False),
+    (Fraction(1), 3, False, True),
+    (Fraction(-999, 1000), -OVER, False, True),
+]
+
+
+@pytest.mark.parametrize("value, outside, leaves, needs_sup", UNIT_BALL_BOUNDARY)
+def test_unit_ball_boundary(monkeypatch, value, outside, leaves, needs_sup):
+    # The space is {5, 6, ..., w}.  The child at [0] is outside on [0, 4] and
+    # value on {6}, 0 elsewhere; every other child is zero.  |value| = 1 stays
+    # in the ball, and only a |value| > 1 anywhere asks for the sup over the
+    # whole space.
+    space = ClosedSet(OMEGA, [Stratum(from_int(4), OMEGA, ZERO)])
+    block = StepFunction(OMEGA, (from_int(4), from_int(5), from_int(6), OMEGA), (outside, 0, value, 0))
+    family = family_from_table(
+        space, {"cutoff": 5, "entries": [{"path": [0], "fn": step_function_to_json(block)}]}
+    )
+    whole_space_sups = []
+
+    def recording_sup_on(f, subset):
+        if subset == space:
+            whole_space_sups.append(f)
+        return sup_on(f, subset)
+
+    monkeypatch.setattr(ordspace.szlenk, "sup_on", recording_sup_on)
+    if leaves:
+        with pytest.raises(FamilyContractError, match=r"node \[0\]: function exceeds the unit ball"):
+            extract_small_combination(space, family, Fraction(1, 2))
+    else:
+        cert = extract_small_combination(space, family, Fraction(1, 2))
+        assert cert.blocks[0] == block
+    assert set(whole_space_sups) == ({block} if needs_sup else set())
+    if not leaves:
+        assert cert.verify(space)
+
+
 def test_extraction_never_lists_the_critical_set(monkeypatch):
     def refuse(space):
         raise AssertionError("finite_points called during extraction")
