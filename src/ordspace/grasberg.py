@@ -24,6 +24,7 @@ from .ordinal import (
     ONE,
     ZERO,
     Ordinal,
+    _trusted,
     add,
     compare,
     divide_by_omega_pow,
@@ -117,8 +118,9 @@ class StepFunction:
             values = [Fraction(v) for v in values]
         merged_b: list[Ordinal] = []
         merged_v: list[Fraction] = []
-        for bp, v in zip(breakpoints, values):
-            if merged_v and merged_v[-1] == v:
+        for bp, v in zip(breakpoints, values):  # a Fraction is in lowest terms
+            if merged_v and ((u := merged_v[-1]) is v or (
+                    u.numerator == v.numerator and u.denominator == v.denominator)):
                 merged_b[-1] = bp
             else:
                 merged_b.append(bp)
@@ -371,28 +373,50 @@ def check_queen(
 def random_ordinal(rng: random.Random, bound: Ordinal) -> Ordinal:
     """A structurally random ordinal in [0, bound]; deterministic per rng state.
 
-    Builds a CNF with strictly decreasing exponents in one pass (each
-    exponent is drawn at most equal to its predecessor and duplicates merge
-    through add), then clamps to the bound.
+    Builds the CNF term list in one pass: each exponent is drawn at most
+    equal to its predecessor, a repeated exponent adds its coefficient to
+    the last term and a smaller one appends a term.  Then clamps to the bound.
     """
-    if bound.is_zero():
+    if not bound:
         return ZERO
     roll = rng.random()
     if roll < 0.08:
         return ZERO
     if roll < 0.16:
         return bound
-    exp_bound = leading_exponent(bound)
-    acc = ZERO
+    exp_bound = bound[0][0]
+    terms: list[tuple[Ordinal, int]] = []
     for _ in range(rng.randint(1, 3)):
         e = random_ordinal(rng, exp_bound)
-        acc = add(acc, mul_nat(omega_pow(e), rng.randint(1, 9)))
-        if e.is_zero():
+        k = rng.randint(1, 9)
+        if terms and terms[-1][0] == e:
+            k += terms.pop()[1]
+        terms.append((e, k))
+        if not e:
             break
         exp_bound = e
-    if acc <= bound:
-        return acc
-    return bound
+    return min(_trusted(tuple(terms)), bound)
+
+
+@lru_cache(maxsize=256)
+def _landmarks(space: ClosedSet) -> frozenset[Ordinal]:
+    """Each level's singletons and first two multiples of w^mu in each stratum."""
+    pool: set[Ordinal] = set()
+    try:
+        levels = level_sets(space)
+    except ValueError:
+        levels = (space,)
+    for level in levels:
+        for atom in level.atoms:
+            if isinstance(atom, Singleton):
+                pool.add(atom.point)
+            else:
+                first = roundup(atom.lo, atom.mu)
+                pool.add(first)
+                second = add(first, omega_pow(atom.mu))
+                if second <= atom.hi:
+                    pool.add(second)
+    return frozenset(pool)
 
 
 def random_step_function(
@@ -415,23 +439,7 @@ def random_step_function(
     if lo_v > hi_v:
         raise ValueError("empty value range")
 
-    pool: set[Ordinal] = set()
-    try:
-        levels = level_sets(space)
-    except ValueError:
-        levels = (space,)
-    for level in levels:
-        for atom in level.atoms:
-            if isinstance(atom, Singleton):
-                pool.add(atom.point)
-            else:
-                first = roundup(atom.lo, atom.mu)
-                pool.add(first)
-                second = add(first, omega_pow(atom.mu))
-                if second <= atom.hi:
-                    pool.add(second)
-    for _ in range(3 * max_pieces + 4):
-        pool.add(random_ordinal(rng, ambient))
+    pool = _landmarks(space).union(random_ordinal(rng, ambient) for _ in range(3 * max_pieces + 4))
     candidates = sorted(x for x in pool if x < ambient)
 
     count = rng.randint(1, max_pieces)

@@ -5,7 +5,8 @@ parent hang off an implicit root that is never itself a member.  Pruning
 removes the maximal nodes (those without children), rank is the number of
 prunings needed to empty the tree, and stripping keeps what pruning would
 eventually remove.  Heights are computed once by peeling leaves level by
-level, so none of this recurses on tree depth.
+level, so none of this recurses on tree depth.  Derived trees skip validation
+but not the peel: their heights are never copied from the tree they came from.
 """
 
 from __future__ import annotations
@@ -25,15 +26,16 @@ class FiniteTree:
     insertion order is kept for deterministic iteration and serialization.
     """
 
-    __slots__ = ("_parent", "_children", "_height")
+    __slots__ = ("_parent", "_children", "_height", "_rank")
 
-    def __init__(self, parent: Mapping[Node, Node | None]):
-        parent_map: dict[Node, Node | None] = dict(parent)
-        for node, par in parent_map.items():
-            if node is None:
-                raise ValueError("None is reserved for the implicit root")
-            if par is not None and par not in parent_map:
-                raise ValueError(f"parent {par!r} of {node!r} is not a node")
+    def __init__(self, parent: Mapping[Node, Node | None], _trusted: bool = False):
+        parent_map = parent if _trusted else dict(parent)
+        if not _trusted:
+            for node, par in parent_map.items():
+                if node is None:
+                    raise ValueError("None is reserved for the implicit root")
+                if par is not None and par not in parent_map:
+                    raise ValueError(f"parent {par!r} of {node!r} is not a node")
         children: dict[Node, list[Node]] = {node: [] for node in parent_map}
         for node, par in parent_map.items():
             if par is not None:
@@ -60,6 +62,7 @@ class FiniteTree:
         object.__setattr__(self, "_parent", parent_map)
         object.__setattr__(self, "_children", {n: tuple(k) for n, k in children.items()})
         object.__setattr__(self, "_height", height)
+        object.__setattr__(self, "_rank", level - 1)
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteTree is immutable")
@@ -109,11 +112,10 @@ def max_nodes(tree: FiniteTree) -> tuple[Node, ...]:
 
 def _restrict(tree: FiniteTree, keep: set) -> FiniteTree:
     new_parent: dict[Node, Node | None] = {}
-    for node in tree.nodes:
+    for node, par in tree._parent.items():
         if node in keep:
-            par = tree.parent(node)
             new_parent[node] = par if par in keep else None
-    return FiniteTree(new_parent)
+    return FiniteTree(new_parent, _trusted=True)
 
 
 def prune(tree: FiniteTree) -> FiniteTree:
@@ -124,19 +126,19 @@ def iterated_prune(tree: FiniteTree, k: int) -> FiniteTree:
     """Remove maximal nodes k times; the survivors are the nodes of height > k."""
     if k < 0:
         raise ValueError("prune count must be non-negative")
-    return _restrict(tree, {n for n in tree.nodes if tree.height(n) > k})
+    return _restrict(tree, {n for n, h in tree._height.items() if h > k})
 
 
 def rank(tree: FiniteTree) -> int:
     """Least k with iterated_prune(tree, k) empty; the longest chain length."""
-    return max((tree.height(n) for n in tree.nodes), default=0)
+    return tree._rank
 
 
 def strip(tree: FiniteTree, k: int) -> FiniteTree:
     """The part pruning would remove first: tree minus iterated_prune(tree, k)."""
     if k < 0 or k > rank(tree):
         raise ValueError(f"k must lie in [0, rank] = [0, {rank(tree)}]")
-    return _restrict(tree, {n for n in tree.nodes if tree.height(n) <= k})
+    return _restrict(tree, {n for n, h in tree._height.items() if h <= k})
 
 
 def subtree_above(tree: FiniteTree, s: Node) -> FiniteTree:
@@ -149,7 +151,7 @@ def subtree_above(tree: FiniteTree, s: Node) -> FiniteTree:
         node, par = stack.pop()
         new_parent[node] = par
         stack.extend((child, node) for child in reversed(tree.children(node)))
-    return FiniteTree(new_parent)
+    return FiniteTree(new_parent, _trusted=True)
 
 
 class FactReport(namedtuple("FactReport", "fact k passed failures")):

@@ -21,6 +21,7 @@ from ordspace.grasberg import (
     level_sets,
     params,
     phi,
+    random_ordinal,
     random_step_function,
     step_add,
     step_convex,
@@ -34,11 +35,14 @@ from ordspace.ordinal import (
     OMEGA,
     ONE,
     ZERO,
+    Ordinal,
     add,
     from_int,
+    leading_exponent,
     mul_nat,
     omega_pow,
     parse,
+    validate,
 )
 from ordspace.topology import (
     ClosedSet,
@@ -52,6 +56,7 @@ from ordspace.topology import (
     interval,
     is_empty,
     iterated_derivative,
+    roundup,
 )
 
 from conftest import assemble, closed_sets, landmark_points
@@ -558,6 +563,85 @@ def test_random_generator_contract():
         assert 1 <= len(f.breakpoints) <= 5
         assert all(-1 <= v <= 1 for v in f.values)
         assert sup_on(f, space) <= 1
+
+
+def reference_random_ordinal(rng, bound):
+    """The generator as it was first written: every term joined through add."""
+    if bound.is_zero():
+        return ZERO
+    roll = rng.random()
+    if roll < 0.08:
+        return ZERO
+    if roll < 0.16:
+        return bound
+    exp_bound = leading_exponent(bound)
+    acc = ZERO
+    for _ in range(rng.randint(1, 3)):
+        e = reference_random_ordinal(rng, exp_bound)
+        acc = add(acc, mul_nat(omega_pow(e), rng.randint(1, 9)))
+        if e.is_zero():
+            break
+        exp_bound = e
+    return acc if acc <= bound else bound
+
+
+def reference_random_step_function(space, seed, max_pieces=6, value_range=(-1, 1)):
+    """random_step_function with its landmark pool rebuilt on every call."""
+    rng = random.Random(seed)
+    ambient = space.ambient
+    lo_v, hi_v = Fraction(value_range[0]), Fraction(value_range[1])
+    pool = set()
+    try:
+        levels = level_sets(space)
+    except ValueError:
+        levels = (space,)
+    for level in levels:
+        for atom in level.atoms:
+            if isinstance(atom, Singleton):
+                pool.add(atom.point)
+            else:
+                first = roundup(atom.lo, atom.mu)
+                pool.add(first)
+                second = add(first, omega_pow(atom.mu))
+                if second <= atom.hi:
+                    pool.add(second)
+    for _ in range(3 * max_pieces + 4):
+        pool.add(reference_random_ordinal(rng, ambient))
+    candidates = sorted(x for x in pool if x < ambient)
+    count = rng.randint(1, max_pieces)
+    chosen = rng.sample(candidates, min(count - 1, len(candidates)))
+    breakpoints = sorted(set(chosen)) + [ambient]
+    values = []
+    for _ in breakpoints:
+        den = rng.randint(1, 8)
+        values.append(lo_v + (hi_v - lo_v) * Fraction(rng.randint(0, den), den))
+    return StepFunction(ambient, breakpoints, values)
+
+
+GENERATOR_BOUNDS = ["0", "5", "w", "w^(2)*2+w*3+5", "w^(w)", "w^(w^(2))"]
+
+
+@pytest.mark.parametrize("text", GENERATOR_BOUNDS)
+def test_random_ordinal_matches_the_add_reference(text):
+    bound = parse(text)
+    for seed in range(400):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = random_ordinal(rng, bound)
+        assert got == reference_random_ordinal(ref_rng, bound)
+        assert got <= bound and type(got) is Ordinal
+        validate(got)
+        assert rng.getstate() == ref_rng.getstate()  # the same draws, in the same order
+
+
+@pytest.mark.parametrize(
+    "text", ["w", "w^(2)", "w^(3)", "w^(w)", "w^(2)*2+w*3+5", "7"]
+)  # the benchmark's five fuzz spaces, and a finite one without norm levels
+def test_random_step_function_matches_the_uncached_reference(text):
+    space = interval(parse(text))
+    for seed in range(150):
+        for max_pieces, value_range in ((5, (-1, 1)), (12, (Fraction(-1, 50), Fraction(1, 50)))):
+            got = random_step_function(space, seed, max_pieces, value_range)
+            assert got == reference_random_step_function(space, seed, max_pieces, value_range)
 
 
 # --- norm laws -----------------------------------------------------------------

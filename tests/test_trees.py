@@ -249,6 +249,41 @@ def test_successor_set_identity(seed, size):
             assert lhs == rhs
 
 
+# --- derived trees -------------------------------------------------------------
+
+
+def validated_twin(tree):
+    """The same parent map rebuilt through the validating constructor."""
+    return FiniteTree({node: tree.parent(node) for node in tree.nodes})
+
+
+@given(st.integers(min_value=0, max_value=150), st.integers(min_value=1, max_value=60))
+def test_derived_trees_peel_fresh_heights(seed, size):
+    # a derived tree's heights must be its own, never the source tree's: else
+    # rank(strip(tree, k)) == k, fact i, would hold by construction
+    t = random_tree(random.Random(seed), size)
+    derived = [subtree_above(t, s) for s in t.nodes]
+    for k in range(rank(t) + 1):
+        derived += [strip(t, k), iterated_prune(t, k)]
+    for d in derived:
+        twin = validated_twin(d)
+        assert d == twin
+        assert [d.height(n) for n in d.nodes] == [twin.height(n) for n in twin.nodes]
+        assert rank(d) == rank(twin) == longest_chain(d)
+
+
+def test_pickled_derived_tree_rebuilds_through_the_validating_constructor():
+    derived = strip(full_binary(3), 2)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(derived, protocol))
+        assert back == derived and rank(back) == 2
+    forged = subtree_above(chain(4), 0)
+    object.__setattr__(forged, "_parent", {1: None, 2: "ghost"})
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        with pytest.raises(ValueError):
+            pickle.loads(pickle.dumps(forged, protocol))
+
+
 # --- text and JSON formats ------------------------------------------------------
 
 
