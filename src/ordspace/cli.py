@@ -54,13 +54,15 @@ def shrink_step_function(f: StepFunction, still_failing, max_steps: int = 200) -
     """Deterministically minimize a failing example.
 
     First reduce the piece count (halving, then single drops), then simplify
-    values toward 0 (zeroing, integer truncation, halving), keeping every
-    change only while the failure persists.  At most max_steps changes are
-    kept, counted over both phases.
+    values toward 0 (zeroing, integer truncation, halving up to the input's
+    largest denominator), keeping every change only while the failure
+    persists.  At most max_steps changes are kept, counted over both phases.
     """
     from fractions import Fraction
 
     from .grasberg import StepFunction
+
+    top = max(v.denominator for v in f.values)
 
     def piece_drops(f):
         k = len(f.breakpoints)
@@ -76,7 +78,7 @@ def shrink_step_function(f: StepFunction, still_failing, max_steps: int = 200) -
     def value_simplifications(f):
         for i, v in enumerate(f.values):
             for repl in (Fraction(0), Fraction(int(v)), v / 2):
-                if repl != v:
+                if repl != v and repl.denominator <= top:
                     yield StepFunction(
                         f.ambient, f.breakpoints, f.values[:i] + (repl,) + f.values[i + 1 :]
                     )

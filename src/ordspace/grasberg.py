@@ -27,10 +27,8 @@ from .ordinal import (
     _trusted,
     add,
     compare,
-    divide_by_omega_pow,
     format_ordinal,
     from_json as ordinal_from_json,
-    leading_exponent,
     mul_nat,
     omega_pow,
     predecessor,
@@ -63,10 +61,8 @@ def params(space: ClosedSet) -> GrasbergParams:
     cb = cb_index(space)
     if cb <= ONE:
         raise ValueError("Grasberg parameters need an infinite space (cb index >= 2)")
-    lam = predecessor(cb)
-    o = leading_exponent(lam)
-    quotient, _ = divide_by_omega_pow(lam, o)
-    return GrasbergParams(o=o, b=int(quotient), cb=cb)
+    o, b = predecessor(cb)[0]  # the leading term: cb = w^o * b + (lower terms) + 1
+    return GrasbergParams(o=o, b=b, cb=cb)
 
 
 @lru_cache(maxsize=256)
@@ -279,18 +275,20 @@ def phi(f: StepFunction, space: ClosedSet, eps: Rational) -> ClosedSet:
     """The critical set: at each level n, the points where 2^(n+1)|f| > |f| + eps.
 
     Costs, per level, about atoms * log(pieces) comparisons to find each
-    atom's pieces, plus a clip for each critical piece an atom covers."""
+    atom's pieces, plus a clip for each critical piece an atom covers.  The test
+    |num/den| > cut/2^(n+1), cut = |f| + eps, is |num|*cut.den*2^(n+1) > den*cut.num."""
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     cut = grasberg_norm(f, space) + eps
-    bps, mags = f.breakpoints, [abs(v) for v in f.values]
+    bps, cn, cd = f.breakpoints, cut.numerator, cut.denominator
+    sides = [(abs(v.numerator) * cd, v.denominator * cn) for v in f.values]
     atoms = []
     for n, level in enumerate(level_sets(space)):
-        floor = cut / 2 ** (n + 1)
+        hot = [a << (n + 1) > b for a, b in sides]  # a * 2^(n+1) > b
         for atom in level.atoms:
             for i in _pieces_of(f, atom):
-                if mags[i] > floor:
+                if hot[i]:
                     clipped = clip_atom(atom, bps[i - 1] if i else None, bps[i])
                     if clipped is not None:
                         atoms.append(clipped)

@@ -20,12 +20,11 @@ from .ordinal import (
     ONE,
     ZERO,
     Ordinal,
+    _trusted,
     add,
-    divide_by_omega_pow,
     format_ordinal,
     from_json as ordinal_from_json,
     left_subtract,
-    omega_mul,
     omega_pow,
     to_json as ordinal_to_json,
 )
@@ -50,11 +49,15 @@ Atom = Singleton | Stratum
 
 
 def roundup(lo: Ordinal, nu: Ordinal) -> Ordinal:
-    """Least multiple of w^nu strictly greater than lo."""
-    if not nu:  # every ordinal is a multiple of w^0
-        return add(lo, ONE)
-    quotient, _ = divide_by_omega_pow(lo, nu)
-    return omega_mul(nu, add(quotient, ONE))
+    """Least multiple of w^nu strictly greater than lo: w^nu * (q + 1) for lo = w^nu * q + r.
+
+    The terms of lo with exponent >= nu form a CNF prefix, which is w^nu * q.
+    Adding w^nu to it adds 1 to its last coefficient if that term's exponent
+    is nu, and appends the term (nu, 1) otherwise."""
+    for i, (e, c) in enumerate(lo):
+        if e <= nu:  # the prefix is lo[:i], or lo[:i + 1] when e == nu
+            return _trusted(lo[:i] + ((nu, c + 1 if e == nu else 1),))
+    return _trusted(lo[:] + ((nu, 1),))
 
 
 def stratum_nonempty(lo: Ordinal, hi: Ordinal, mu: Ordinal) -> bool:
@@ -102,10 +105,10 @@ def clip_atom(
 
 
 def _stratum_contains(s: Stratum, g: Ordinal) -> bool:
-    if g <= s.lo or g > s.hi:
-        return False
-    _, rem = divide_by_omega_pow(g, s.mu)
-    return rem.is_zero()
+    """Whether g is a multiple of w^mu in (lo, hi].  The terms of g with exponent
+    >= mu form a prefix that is a multiple of w^mu, and the rest is below w^mu;
+    so a g > lo, which is not 0, is a multiple exactly when its last exponent is >= mu."""
+    return s.lo < g <= s.hi and g[-1][0] >= s.mu
 
 
 def _atom_sort_key(atom: Atom):

@@ -11,7 +11,7 @@ but not the peel: their heights are never copied from the tree they came from.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Hashable, Mapping
 
 from .ordinal import ONE, Ordinal, mul_nat
@@ -40,29 +40,11 @@ class FiniteTree:
         for node, par in parent_map.items():
             if par is not None:
                 children[par].append(node)
-
-        pending = {node: len(kids) for node, kids in children.items()}
-        frontier = [node for node in parent_map if pending[node] == 0]
-        height: dict[Node, int] = {}
-        level = 1
-        while frontier:
-            nxt = []
-            for node in frontier:
-                height[node] = level
-                par = parent_map[node]
-                if par is not None:
-                    pending[par] -= 1
-                    if pending[par] == 0:
-                        nxt.append(par)
-            frontier = nxt
-            level += 1
-        if len(height) != len(parent_map):
-            raise ValueError("parent links contain a cycle")
-
+        height, top = _peel(parent_map)
         object.__setattr__(self, "_parent", parent_map)
         object.__setattr__(self, "_children", {n: tuple(k) for n, k in children.items()})
         object.__setattr__(self, "_height", height)
-        object.__setattr__(self, "_rank", level - 1)
+        object.__setattr__(self, "_rank", top)
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteTree is immutable")
@@ -102,6 +84,27 @@ class FiniteTree:
         return f"FiniteTree({len(self)} nodes, rank {rank(self)})"
 
 
+def _peel(parent: Mapping[Node, Node | None]) -> tuple[dict[Node, int], int]:
+    """Heights, found by peeling the maximal nodes level by level, and the rank."""
+    pending = dict(Counter(parent.values()))  # children per node; a plain dict indexes faster
+    frontier = [node for node in parent if node not in pending]
+    height, level = {}, 0
+    while frontier:
+        level += 1
+        nxt = []
+        for node in frontier:
+            height[node] = level
+            par = parent[node]
+            if par is not None:
+                pending[par] -= 1
+                if not pending[par]:
+                    nxt.append(par)
+        frontier = nxt
+    if len(height) != len(parent):
+        raise ValueError("parent links contain a cycle")
+    return height, level
+
+
 EMPTY_TREE = FiniteTree({})
 
 
@@ -110,12 +113,9 @@ def max_nodes(tree: FiniteTree) -> tuple[Node, ...]:
     return tuple(n for n in tree.nodes if not tree.children(n))
 
 
-def _restrict(tree: FiniteTree, keep: set) -> FiniteTree:
-    new_parent: dict[Node, Node | None] = {}
-    for node, par in tree._parent.items():
-        if node in keep:
-            new_parent[node] = par if par in keep else None
-    return FiniteTree(new_parent, _trusted=True)
+def _restricted(tree: FiniteTree, keep: set) -> dict[Node, Node | None]:
+    """The parent map of the kept nodes; a node whose parent goes hangs off the root."""
+    return {n: p if p in keep else None for n, p in tree._parent.items() if n in keep}
 
 
 def prune(tree: FiniteTree) -> FiniteTree:
@@ -126,7 +126,8 @@ def iterated_prune(tree: FiniteTree, k: int) -> FiniteTree:
     """Remove maximal nodes k times; the survivors are the nodes of height > k."""
     if k < 0:
         raise ValueError("prune count must be non-negative")
-    return _restrict(tree, {n for n, h in tree._height.items() if h > k})
+    keep = {n for n, h in tree._height.items() if h > k}
+    return FiniteTree(_restricted(tree, keep), _trusted=True)
 
 
 def rank(tree: FiniteTree) -> int:
@@ -134,24 +135,34 @@ def rank(tree: FiniteTree) -> int:
     return tree._rank
 
 
-def strip(tree: FiniteTree, k: int) -> FiniteTree:
-    """The part pruning would remove first: tree minus iterated_prune(tree, k)."""
+def _stripped(tree: FiniteTree, k: int) -> dict[Node, Node | None]:
     if k < 0 or k > rank(tree):
         raise ValueError(f"k must lie in [0, rank] = [0, {rank(tree)}]")
-    return _restrict(tree, {n for n, h in tree._height.items() if h <= k})
+    return _restricted(tree, {n for n, h in tree._height.items() if h <= k})
+
+
+def strip(tree: FiniteTree, k: int) -> FiniteTree:
+    """The part pruning would remove first: tree minus iterated_prune(tree, k)."""
+    return FiniteTree(_stripped(tree, k), _trusted=True)
+
+
+def _above(tree: FiniteTree, s: Node) -> dict[Node, Node | None]:
+    """The parent map of the nodes strictly above s, with s's children top-level."""
+    if s not in tree:
+        raise ValueError(f"{s!r} is not a node of the tree")
+    parent: dict[Node, Node | None] = {}
+    children = tree._children
+    stack = [(child, None) for child in reversed(children[s])]
+    while stack:
+        node, par = stack.pop()
+        parent[node] = par
+        stack.extend([(child, node) for child in reversed(children[node])])
+    return parent
 
 
 def subtree_above(tree: FiniteTree, s: Node) -> FiniteTree:
     """The nodes strictly above s, re-rooted so s's children become top-level."""
-    if s not in tree:
-        raise ValueError(f"{s!r} is not a node of the tree")
-    new_parent: dict[Node, Node | None] = {}
-    stack = [(child, None) for child in reversed(tree.children(s))]
-    while stack:
-        node, par = stack.pop()
-        new_parent[node] = par
-        stack.extend((child, node) for child in reversed(tree.children(node)))
-    return FiniteTree(new_parent, _trusted=True)
+    return FiniteTree(_above(tree, s), _trusted=True)
 
 
 class FactReport(namedtuple("FactReport", "fact k passed failures")):
@@ -173,18 +184,19 @@ class FactReport(namedtuple("FactReport", "fact k passed failures")):
 
 def check_fact_i(tree: FiniteTree, k: int) -> FactReport:
     """Stripping at k leaves a tree of rank exactly k."""
-    actual = rank(strip(tree, k))
+    actual = _peel(_stripped(tree, k))[1]
     failures = () if actual == k else ((None, actual),)
     return FactReport(fact="i", k=k, passed=actual == k, failures=failures)
 
 
 def check_fact_ii(tree: FiniteTree, k: int) -> FactReport:
-    """Every maximal node of the k-th prune carries a rank-k subtree above it."""
+    """Every maximal node of the k-th prune, a node of height k + 1, carries a
+    rank-k subtree above it; each rank is peeled afresh from a parent map."""
     if k < 0 or k > rank(tree):
         raise ValueError(f"k must lie in [0, rank] = [0, {rank(tree)}]")
     failures = []
-    for s in max_nodes(iterated_prune(tree, k)):
-        actual = rank(subtree_above(tree, s))
+    for s in [n for n in tree._parent if tree._height[n] == k + 1]:
+        actual = _peel(_above(tree, s))[1]
         if actual != k:
             failures.append((s, actual))
     return FactReport(fact="ii", k=k, passed=not failures, failures=tuple(failures))

@@ -208,7 +208,7 @@ FAILING_CHECKS = {
     ("queen", "w"): '{"lemma": "queen", "pass": false, "eps": "17/20", "f": {"ambient": '
     '[[[[[], 1]], 1]], "pieces": [{"upTo": [[[], 1]], "value": "-2/3"}, {"upTo": [[[[[], 1]], 1]], '
     '"value": "0"}]}, "g": {"ambient": [[[[[], 1]], 1]], "pieces": [{"upTo": [[[[[], 1]], 1]], '
-    '"value": "17/20480"}]}}',
+    '"value": "17/320"}]}}',
 }
 
 
@@ -566,6 +566,31 @@ def test_shrink_keeps_failing_input_without_improvement():
         return sup_on(f, space) >= 1
 
     assert shrink_step_function(start, still_failing) == start
+
+
+def test_shrink_halves_only_down_to_the_input_denominators():
+    """Only zeroing a value makes this input pass, so every halving still
+    fails: 4/5 halves to 2/5 and 1/5, which reaches the input's largest
+    denominator, and stops there instead of after max_steps halvings."""
+    start = StepFunction(OMEGA, (from_int(3), OMEGA), (Fraction(-1, 2), Fraction(4, 5)))
+    got = shrink_step_function(start, lambda f: any(f.values))
+    assert got == StepFunction(OMEGA, (OMEGA,), (Fraction(1, 5),))
+
+
+def _queen_fails_on_two_pieces(f, g, space, eps):
+    return SimpleNamespace(passed=not (len(f.values) == 2 and any(g.values)))
+
+
+def test_check_shrinks_values_without_a_halving_run(monkeypatch):
+    """The rule "f has 2 pieces and g is not 0" once printed 60-digit denominators."""
+    import ordspace.grasberg
+
+    monkeypatch.setattr(ordspace.grasberg, "check_queen", _queen_fails_on_two_pieces)
+    code, out = cap(["check", "queen", "--space", "w^(2)", "--json"])
+    assert code == 1
+    payload = json.loads(out)
+    assert [p["value"] for p in payload["f"]["pieces"]] == ["0", "-1/3"]
+    assert [p["value"] for p in payload["g"]["pieces"]] == ["-9/100"]
 
 
 # --- README -------------------------------------------------------------------------

@@ -91,6 +91,13 @@ def test_params_omega_omega():
     assert (p.o, p.b, p.cb) == (ONE, 1, parse("w+1"))
 
 
+def test_params_of_a_set_whose_cb_minus_one_has_two_terms():
+    # the multiples of w^0 in (0, w^(w+2)]: cb = w+3, so cb - 1 = w+2 and o, b = 1, 1
+    space = ClosedSet(parse("w^(w+3)"), [Stratum(ZERO, parse("w^(w+2)"), ZERO)])
+    p = params(space)
+    assert (p.o, p.b, p.cb) == (ONE, 1, parse("w+3"))
+
+
 def test_params_rejects_finite_space():
     with pytest.raises(ValueError):
         params(interval(from_int(5)))
@@ -685,6 +692,25 @@ def test_phi_monotone_in_eps():
         for point in landmark_points(large):
             if point <= space.ambient and contains(large, point):
                 assert contains(small, point)
+
+
+@pytest.mark.parametrize("space", SPACES + [interval(parse("w^(3)"))], ids=["w", "w2", "ww", "w3"])
+def test_phi_integer_threshold_matches_the_fraction_rule(space):
+    """reference_phi tests 2^(n+1)|v| > |f| + eps on Fractions; include its ties."""
+    levels = len(level_sets(space))
+    ties = 0
+    for seed in range(60):
+        f = random_step_function(space, seed, max_pieces=12, value_range=(-3, Fraction(5, 2)))
+        norm = grasberg_norm(f, space)
+        # eps where some |v| equals the cut / 2^(n+1) exactly, and eps around them
+        tied = {2 ** (n + 1) * abs(v) - norm for v in f.values for n in range(levels)}
+        tied = {eps for eps in tied if eps > 0}
+        ties += len(tied)
+        for eps in tied | {e + Fraction(1, 97) for e in tied} | {Fraction(seed % 7 + 1, 6)}:
+            got = phi(f, space, eps)
+            want = reference_phi(f, space, eps)
+            assert got == want and repr(got.atoms) == repr(want.atoms)
+    assert ties >= 60  # the tie case is exercised, not just possible
 
 
 def test_everything_stays_rational():

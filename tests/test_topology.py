@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordspace.grasberg import random_ordinal
 from ordspace.ordinal import (
     OMEGA,
     ONE,
     ZERO,
+    Ordinal,
     add,
     compare,
     divide_by_omega_pow,
@@ -21,6 +23,7 @@ from ordspace.ordinal import (
     omega_pow,
     parse,
     successor,
+    validate,
 )
 from ordspace.topology import (
     ClosedSet,
@@ -40,6 +43,7 @@ from ordspace.topology import (
     roundup,
     stratum_nonempty,
     to_json,
+    _stratum_contains,
 )
 
 from conftest import (
@@ -176,6 +180,38 @@ def test_roundup_certificate(lo, nu):
     lo_q, lo_r = divide_by_omega_pow(lo, nu)
     expected = omega_mul(nu, add(lo_q, ONE))
     assert up == expected
+
+
+# exponents up to w^(2)+3, so that levels w, w+1 and w^(2) fall inside, between and at terms
+DEEP_BOUND = parse("w^(w^(2)+3)*3+w^(w^(2))*2+w^(w+1)*2+w^(w)+w*5+7")
+DEEP_LEVELS = [parse(text) for text in ("0", "1", "w", "w+1", "w^(2)")]
+
+
+def reference_roundup(lo, nu):
+    """roundup as first written: w^nu * (q + 1), with lo = w^nu * q + r."""
+    quotient, _ = divide_by_omega_pow(lo, nu)
+    return omega_mul(nu, add(quotient, ONE))
+
+
+def test_roundup_and_stratum_membership_match_the_division_reference():
+    rng = random.Random(2026)
+    outcomes = set()
+    for _ in range(2000):
+        lo, hi, g = (random_ordinal(rng, DEEP_BOUND) for _ in range(3))
+        for nu in DEEP_LEVELS:
+            up = roundup(lo, nu)
+            again = roundup(up, nu)  # from a multiple: its last exponent is nu or above
+            assert (up, again) == (reference_roundup(lo, nu), reference_roundup(up, nu))
+            assert type(up) is type(again) is Ordinal
+            validate(up)
+            validate(again)
+            if lo < hi:
+                s = Stratum(lo, hi, nu)
+                for point in (g, up, add(up, omega_pow(nu)), add(up, ONE)):
+                    member = lo < point <= hi and divide_by_omega_pow(point, nu)[1] == ZERO
+                    assert _stratum_contains(s, point) == member
+                    outcomes.add(member)
+    assert outcomes == {False, True}
 
 
 # --- max_stratum_exponent / is_empty ------------------------------------------

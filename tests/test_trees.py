@@ -20,6 +20,7 @@ from ordspace.ordinal import OMEGA, ONE, ZERO, from_int, mul_nat, parse
 from ordspace.topology import interval
 from ordspace.trees import (
     EMPTY_TREE,
+    FactReport,
     FiniteTree,
     check_fact_i,
     check_fact_ii,
@@ -235,6 +236,36 @@ def test_facts_fuzzed(seed, size):
     for k in range(rank(t) + 1):
         assert check_fact_i(t, k).passed
         assert check_fact_ii(t, k).passed
+
+
+@given(st.integers(min_value=0, max_value=150), st.integers(min_value=1, max_value=60))
+def test_prune_maximal_nodes_are_the_nodes_of_the_next_height(seed, size):
+    # fact ii walks the nodes of height k + 1 instead of building the k-th prune
+    t = random_tree(random.Random(seed), size, floor_chance=0.1)
+    for k in range(rank(t) + 1):
+        assert max_nodes(iterated_prune(t, k)) == tuple(n for n in t.nodes if t.height(n) == k + 1)
+
+
+def reference_fact_reports(t, k):
+    """Facts i and ii through the derived trees: strip, iterated_prune, subtree_above."""
+    actual = rank(strip(t, k))
+    fact_i = FactReport("i", k, actual == k, () if actual == k else ((None, actual),))
+    failures = tuple(
+        (s, rank(subtree_above(t, s)))
+        for s in max_nodes(iterated_prune(t, k))
+        if rank(subtree_above(t, s)) != k
+    )
+    return fact_i, FactReport("ii", k, not failures, failures)
+
+
+@given(st.integers(min_value=0, max_value=150), st.integers(min_value=1, max_value=60))
+def test_fact_checks_match_the_derived_tree_reference(seed, size):
+    t = random_tree(random.Random(seed), size, floor_chance=0.1)
+    for k in range(rank(t) + 1):
+        assert (check_fact_i(t, k), check_fact_ii(t, k)) == reference_fact_reports(t, k)
+    for check in (check_fact_i, check_fact_ii):
+        with pytest.raises(ValueError):
+            check(t, rank(t) + 1)
 
 
 @given(st.integers(min_value=0, max_value=150), st.integers(min_value=1, max_value=50))
