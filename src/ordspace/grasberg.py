@@ -19,6 +19,8 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache, reduce
+from math import gcd, lcm
+from operator import attrgetter
 
 from .ordinal import (
     ONE,
@@ -46,7 +48,6 @@ from .topology import (
 )
 
 Rational = Fraction | int | str
-_NOUGHT, _UNIT = Fraction(0), Fraction(1)  # shared: a Fraction is immutable
 
 
 class GrasbergParams(namedtuple("GrasbergParams", "o b cb")):
@@ -82,48 +83,32 @@ class StepFunction:
     """A function on [0, ambient] constant on finitely many clopen pieces.
 
     breakpoints b0 < b1 < ... < bk = ambient cut the space into the pieces
-    [0, b0], (b0, b1], ..., (b_{k-1}, bk]; values[i] is the value on piece i.
-    Every such piece is clopen in the order topology (a jump can only sit at
-    a successor), so the function is continuous.  Adjacent pieces with equal
-    values are merged on construction, making the representation canonical.
-
-    Internal producers whose breakpoints are already strictly increasing and
-    end at the ambient, with Fraction values, pass _trusted=True: only the
-    merge then runs.
+    [0, b0], (b0, b1], ..., (b_{k-1}, bk]; values[i] = nums[i]/den is the value
+    on piece i.  Every such piece is clopen in the order topology (a jump can
+    only sit at a successor), so the function is continuous.  The form is
+    canonical: adjacent equal values merged, den > 0, gcd(den, *nums) == 1.
+    This constructor validates its input; internal producers use _step.
     """
 
-    __slots__ = ("ambient", "breakpoints", "values")
+    __slots__ = ("ambient", "breakpoints", "nums", "den")
 
-    def __init__(
-        self,
-        ambient: Ordinal,
-        breakpoints: Sequence[Ordinal],
-        values: Sequence[Rational],
-        _trusted: bool = False,
-    ):
-        if not _trusted:
-            if not breakpoints:
-                raise ValueError("a step function needs at least one piece")
-            if len(breakpoints) != len(values):
-                raise ValueError("breakpoints and values must have equal length")
-            if breakpoints[-1] != ambient:
-                raise ValueError("last breakpoint must equal the ambient ordinal")
-            for x, y in zip(breakpoints, breakpoints[1:]):
-                if x >= y:
-                    raise ValueError("breakpoints must be strictly increasing")
-            values = [Fraction(v) for v in values]
-        merged_b: list[Ordinal] = []
-        merged_v: list[Fraction] = []
-        for bp, v in zip(breakpoints, values):  # a Fraction is in lowest terms
-            if merged_v and ((u := merged_v[-1]) is v or (
-                    u.numerator == v.numerator and u.denominator == v.denominator)):
-                merged_b[-1] = bp
-            else:
-                merged_b.append(bp)
-                merged_v.append(v)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "breakpoints", tuple(merged_b))
-        object.__setattr__(self, "values", tuple(merged_v))
+    def __new__(cls, ambient: Ordinal, breakpoints: Sequence[Ordinal], values: Sequence[Rational]):
+        if not breakpoints:
+            raise ValueError("a step function needs at least one piece")
+        if len(breakpoints) != len(values):
+            raise ValueError("breakpoints and values must have equal length")
+        if breakpoints[-1] != ambient:
+            raise ValueError("last breakpoint must equal the ambient ordinal")
+        for x, y in zip(breakpoints, breakpoints[1:]):
+            if x >= y:
+                raise ValueError("breakpoints must be strictly increasing")
+        values = [Fraction(v) for v in values]
+        den = reduce(lcm, (v.denominator for v in values), 1)
+        return _step(ambient, breakpoints, [v.numerator * (den // v.denominator) for v in values], den)
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def __setattr__(self, name, value):
         raise AttributeError("StepFunction is immutable")
@@ -134,14 +119,10 @@ class StepFunction:
     def __eq__(self, other) -> bool:
         if not isinstance(other, StepFunction):
             return NotImplemented
-        return (
-            self.ambient == other.ambient
-            and self.breakpoints == other.breakpoints
-            and self.values == other.values
-        )
+        return _fields(self) == _fields(other)
 
     def __hash__(self) -> int:
-        return hash((self.ambient, self.breakpoints, self.values))
+        return hash(_fields(self))
 
     def __repr__(self) -> str:
         body = ", ".join(
@@ -150,8 +131,35 @@ class StepFunction:
         return f"StepFunction({body})"
 
 
+_fields = attrgetter(*StepFunction.__slots__)  # the canonical form, so == is equality
+
+
+def _step(ambient, breakpoints, nums, den) -> StepFunction:
+    """The step function nums[i]/den on trusted breakpoints and den > 0: merges equal
+    neighbours, then divides out gcd(den, *nums) pairwise (star-args would build
+    a tuple per call)."""
+    bps, ns = [], []
+    for bp, x in zip(breakpoints, nums):
+        if ns and ns[-1] == x:
+            bps[-1] = bp
+        else:
+            bps.append(bp)
+            ns.append(x)
+    g = reduce(gcd, ns, den)
+    if g > 1:
+        ns = [x // g for x in ns]
+        den //= g
+    f = object.__new__(StepFunction)
+    object.__setattr__(f, "ambient", ambient)
+    object.__setattr__(f, "breakpoints", tuple(bps))
+    object.__setattr__(f, "nums", tuple(ns))
+    object.__setattr__(f, "den", den)
+    return f
+
+
 def constant(ambient: Ordinal, value: Rational) -> StepFunction:
-    return StepFunction(ambient, (ambient,), (Fraction(value),), _trusted=True)
+    value = Fraction(value)
+    return _step(ambient, (ambient,), (value.numerator,), value.denominator)
 
 
 def indicator(ambient: Ordinal, lo: Ordinal, hi: Ordinal) -> StepFunction:
@@ -160,50 +168,43 @@ def indicator(ambient: Ordinal, lo: Ordinal, hi: Ordinal) -> StepFunction:
         raise ValueError("indicator window must satisfy lo <= hi <= ambient")
     if lo == hi:
         return constant(ambient, 0)
-    bps: list[Ordinal] = []
-    vals: list[Fraction] = []
-    if not lo.is_zero():
-        bps.append(lo)
-        vals.append(_NOUGHT)
-    bps.append(hi)
-    vals.append(_UNIT)
-    if hi < ambient:
-        bps.append(ambient)
-        vals.append(_NOUGHT)
-    return StepFunction(ambient, bps, vals, _trusted=True)
+    i, j = (1 if lo.is_zero() else 0), (3 if hi < ambient else 2)  # drop empty pieces
+    return _step(ambient, (lo, hi, ambient)[i:j], (0, 1, 0)[i:j], 1)
 
 
 def value_at(f: StepFunction, point: Ordinal) -> Fraction:
     if point > f.ambient:
         raise ValueError(f"point {point} outside [0, {f.ambient}]")
-    return f.values[bisect_left(f.breakpoints, point)]
+    return Fraction(f.nums[bisect_left(f.breakpoints, point)], f.den)
 
 
 def step_add(f: StepFunction, g: StepFunction) -> StepFunction:
-    """Pointwise sum, by one merge of the two sorted breakpoint tuples.
+    """Pointwise sum, by one merge of the two sorted breakpoint tuples, on
+    numerators over lcm(f.den, g.den).
 
     Both tuples end at the ambient, so the merge exhausts them together.
     """
     if f.ambient != g.ambient:
         raise ValueError("step functions live on different ambient intervals")
-    fb, fv, gb, gv = f.breakpoints, f.values, g.breakpoints, g.values
-    bps: list[Ordinal] = []
-    values: list[Fraction] = []
+    fb, fn, gb, gn = f.breakpoints, f.nums, g.breakpoints, g.nums
+    den = lcm(f.den, g.den)
+    fs, gs = den // f.den, den // g.den
+    bps, nums = [], []
     i = j = 0
     while i < len(fb):
         c = compare(fb[i], gb[j])
         bps.append(fb[i] if c <= 0 else gb[j])
-        values.append(fv[i] + gv[j])
+        nums.append(fn[i] * fs + gn[j] * gs)
         if c <= 0:
             i += 1
         if c >= 0:
             j += 1
-    return StepFunction(f.ambient, bps, values, _trusted=True)
+    return _step(f.ambient, bps, nums, den)
 
 
 def step_scale(f: StepFunction, c: Rational) -> StepFunction:
     c = Fraction(c)
-    return StepFunction(f.ambient, f.breakpoints, [c * v for v in f.values], _trusted=True)
+    return _step(f.ambient, f.breakpoints, [c.numerator * x for x in f.nums], c.denominator * f.den)
 
 
 def step_convex(coeffs: Sequence[Rational], fs: Sequence[StepFunction]) -> StepFunction:
@@ -230,23 +231,25 @@ def _pieces_of(f: StepFunction, atom: Atom) -> range:
     return range(bisect_right(bps, atom.lo), bisect_left(bps, atom.hi) + 1)
 
 
-def sup_on(f: StepFunction, space: ClosedSet) -> Fraction:
-    """Max of |f| over the set; 0 on the empty set.
-
-    Costs about atoms * log(pieces) comparisons to find each atom's pieces,
-    plus a clip for each piece an atom covers whose |value| beats the best,
-    tested on integers: |num| * bd > bn * den, with best |value| = bn/bd."""
+def _sup_num(f: StepFunction, space: ClosedSet) -> int:
+    """Max of |num| over the pieces of f that meet the set, so the sup of |f| there
+    is this over den; 0 on the empty set.  Costs about atoms * log(pieces)
+    comparisons, plus a clip for each piece an atom covers whose |num| beats the best."""
     if f.ambient != space.ambient:
         raise ValueError("function and set live on different ambient intervals")
-    bps, values = f.breakpoints, f.values
-    best, bn, bd = _NOUGHT, 0, 1
+    bps, nums = f.breakpoints, f.nums
+    best = 0
     for atom in space.atoms:
         for i in _pieces_of(f, atom):
-            v = values[i]
-            if abs(v.numerator) * bd > bn * v.denominator and (
-                    clip_atom(atom, bps[i - 1] if i else None, bps[i], least=True) is not None):
-                best, bn, bd = v, abs(v.numerator), v.denominator
-    return abs(best)
+            x = abs(nums[i])
+            if x > best and clip_atom(atom, bps[i - 1] if i else None, bps[i], least=True) is not None:
+                best = x
+    return best
+
+
+def sup_on(f: StepFunction, space: ClosedSet) -> Fraction:
+    """Max of |f| over the set; 0 on the empty set."""
+    return Fraction(_sup_num(f, space), f.den)
 
 
 def argmax_on(f: StepFunction, space: ClosedSet) -> Ordinal | None:
@@ -255,44 +258,54 @@ def argmax_on(f: StepFunction, space: ClosedSet) -> Ordinal | None:
     Symbolic: pieces are ordered, so the point is the least point of the set
     inside the first piece that meets the set with |value| equal to the sup.
     """
-    top = sup_on(f, space)
-    bps, values = f.breakpoints, f.values
+    top = _sup_num(f, space)
+    bps, nums = f.breakpoints, f.nums
     points = (
         clip_atom(atom, bps[i - 1] if i else None, bps[i], least=True)
         for atom in space.atoms
         for i in _pieces_of(f, atom)
-        if abs(values[i]) == top
+        if abs(nums[i]) == top
     )
     return min((q for q in points if q is not None), default=None)
 
 
+def _norm_num(f: StepFunction, space: ClosedSet) -> int:
+    return max(_sup_num(f, level) << n for n, level in enumerate(level_sets(space)))
+
+
 def grasberg_norm(f: StepFunction, space: ClosedSet) -> Fraction:
     """max over 0 <= n <= b of 2^n * sup of |f| on the (w^o * n)-th derivative."""
-    return max(2**n * sup_on(f, level) for n, level in enumerate(level_sets(space)))
+    return Fraction(_norm_num(f, space), f.den)
 
 
-def phi(f: StepFunction, space: ClosedSet, eps: Rational) -> ClosedSet:
-    """The critical set: at each level n, the points where 2^(n+1)|f| > |f| + eps.
-
-    Costs, per level, about atoms * log(pieces) comparisons to find each
-    atom's pieces, plus a clip for each critical piece an atom covers.  The test
-    |num/den| > cut/2^(n+1), cut = |f| + eps, is |num|*cut.den*2^(n+1) > den*cut.num."""
+def _phi(f: StepFunction, space: ClosedSet, eps: Rational) -> tuple[ClosedSet, Fraction]:
+    """phi(f, space, eps) and the norm |f| it computed."""
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    cut = grasberg_norm(f, space) + eps
-    bps, cn, cd = f.breakpoints, cut.numerator, cut.denominator
-    sides = [(abs(v.numerator) * cd, v.denominator * cn) for v in f.values]
-    atoms = []
+    norm = _norm_num(f, space)
+    # |x|/den > (norm/den + en/ed) / 2^(n+1)  <=>  |x|*ed * 2^(n+1) > norm*ed + en*den
+    cut = norm * eps.denominator + eps.numerator * f.den
+    sides = [abs(x) * eps.denominator for x in f.nums]
+    bps, atoms = f.breakpoints, []
     for n, level in enumerate(level_sets(space)):
-        hot = [a << (n + 1) > b for a, b in sides]  # a * 2^(n+1) > b
+        hot = [a << (n + 1) > cut for a in sides]
         for atom in level.atoms:
             for i in _pieces_of(f, atom):
                 if hot[i]:
                     clipped = clip_atom(atom, bps[i - 1] if i else None, bps[i])
                     if clipped is not None:
                         atoms.append(clipped)
-    return ClosedSet(space.ambient, atoms)
+    return ClosedSet(space.ambient, atoms), Fraction(norm, f.den)
+
+
+def phi(f: StepFunction, space: ClosedSet, eps: Rational) -> ClosedSet:
+    """The critical set: at each level n, the points where 2^(n+1)|f| > |f| + eps.
+
+    Costs, per level, about atoms * log(pieces) comparisons to find each
+    atom's pieces, plus a clip for each critical piece an atom covers.  The
+    threshold is tested on integers, with no Fraction per piece."""
+    return _phi(f, space, eps)[0]
 
 
 # ---- lemma checkers ---------------------------------------------------------
@@ -348,11 +361,11 @@ def check_queen(
 ) -> QueenReport:
     eps = Fraction(eps)
     p = params(space)
-    hyp_lhs = sup_on(g, phi(f, space, eps))
+    critical, nf = _phi(f, space, eps)
+    hyp_lhs = sup_on(g, critical)
     hyp_rhs = eps / 2**p.b
     hypothesis_ok = hyp_lhs <= hyp_rhs
     lhs = grasberg_norm(step_add(f, g), space)
-    nf = grasberg_norm(f, space)
     ng = grasberg_norm(g, space)
     rhs = max(nf + eps, nf / 2 + eps / 2 + ng)
     return QueenReport(
@@ -443,12 +456,13 @@ def random_step_function(
     count = rng.randint(1, max_pieces)
     chosen = rng.sample(candidates, min(count - 1, len(candidates)))
     breakpoints = sorted(set(chosen)) + [ambient]
-    span = hi_v - lo_v
-    values = []
+    # lo + span * k/den = (ln*sd*840 + sn*ld*k*(840/den)) / (ld*sd*840), as den <= 8
+    (ln, ld), (sn, sd) = lo_v.as_integer_ratio(), (hi_v - lo_v).as_integer_ratio()
+    nums = []
     for _ in breakpoints:
         den = rng.randint(1, 8)
-        values.append(lo_v + span * Fraction(rng.randint(0, den), den))
-    return StepFunction(ambient, breakpoints, values, _trusted=True)
+        nums.append(ln * sd * 840 + sn * ld * rng.randint(0, den) * (840 // den))
+    return _step(ambient, breakpoints, nums, ld * sd * 840)
 
 
 # ---- serialization ----------------------------------------------------------

@@ -39,6 +39,7 @@ from .topology import (
 )
 from .grasberg import (
     StepFunction,
+    _sup_num,
     argmax_on,
     constant,
     grasberg_norm,
@@ -119,7 +120,12 @@ class CertificateError(ValueError):
 
 def _leaves_unit_ball(f: StepFunction, space: ClosedSet) -> bool:
     # a sup over a subset is at most the max, so only a |value| > 1 (|num| > den) needs the sup
-    return any(abs(v.numerator) > v.denominator for v in f.values) and sup_on(f, space) > 1
+    return (max(f.nums) > f.den or -min(f.nums) > f.den) and sup_on(f, space) > 1
+
+
+def _small_on(f: StepFunction, critical: ClosedSet, threshold: Fraction) -> bool:
+    """sup_on(f, critical) < threshold, decided on integers with no Fraction built."""
+    return _sup_num(f, critical) * threshold.denominator < threshold.numerator * f.den
 
 
 @dataclass(frozen=True)
@@ -200,7 +206,7 @@ def _stages(space: ClosedSet, delta: Fraction, choose) -> ExtractionCertificate:
             raise CertificateError(f"block {m + 1} lives on a different ambient interval")
         if _leaves_unit_ball(block, space):
             raise CertificateError(f"block {m + 1} leaves the unit ball")
-        if sup_on(block, critical) >= threshold:
+        if not _small_on(block, critical, threshold):
             raise CertificateError(f"block {m + 1} is not small on the critical set")
         path = step
         running = step_add(running, step_scale(block, scale))
@@ -281,7 +287,7 @@ def extract_small_combination(
                 )
             if _leaves_unit_ball(candidate, space):
                 raise FamilyContractError(path + (k,), None, "function exceeds the unit ball")
-            if sup_on(candidate, critical) < threshold:
+            if _small_on(candidate, critical, threshold):
                 return path + (k,), candidate
         raise FamilyContractError(
             path,

@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import pickle
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -375,6 +377,45 @@ def test_trusted_step_functions_match_the_validating_constructor(space, seed_a, 
         assert rebuilt == h
         assert rebuilt.breakpoints == h.breakpoints and rebuilt.values == h.values
         assert all(type(v) is Fraction for v in h.values)
+
+
+def assert_canonical(h):
+    assert h.den > 0 and gcd(h.den, *h.nums) == 1
+    assert all(a != b for a, b in zip(h.nums, h.nums[1:]))
+    assert type(h.values) is tuple and all(type(v) is Fraction for v in h.values)
+    assert all(gcd(v.numerator, v.denominator) == 1 for v in h.values)
+    assert h.values == tuple(Fraction(x, h.den) for x in h.nums)
+
+
+@given(
+    st.sampled_from(FUZZ_SPACES),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(3, 7), Fraction(-5, 2)]),
+    st.integers(min_value=2, max_value=6),
+)
+def test_step_functions_have_one_canonical_form(space, seed_a, seed_b, c, m):
+    """Every way of building the same function gives the same (nums, den), == and hash."""
+    f = random_step_function(space, seed_a, max_pieces=8, value_range=(-2, Fraction(3, 2)))
+    g = random_step_function(space, seed_b, max_pieces=8)
+    outputs = [f, step_add(f, g), step_scale(f, c), step_add(f, step_scale(f, -1))]
+    outputs += [step_convex([Fraction(1, m), 1 - Fraction(1, m)], [f, g]), indicator(space.ambient, ONE, OMEGA)]
+    for h in outputs:
+        assert_canonical(h)
+        finer = sorted(set(h.breakpoints) | set(f.breakpoints) | set(g.breakpoints))
+        unreduced = [f"{v.numerator * m}/{v.denominator * m}" for v in h.values]  # like "2/4"
+        others = [
+            StepFunction(h.ambient, h.breakpoints, unreduced),
+            StepFunction(h.ambient, finer, [value_at(h, b) for b in finer]),  # merged back
+            pickle.loads(pickle.dumps(h)),
+            step_scale(step_scale(h, m), Fraction(1, m)),
+            step_add(h, constant(h.ambient, 0)),
+        ]
+        for other in others:
+            assert_canonical(other)
+            assert other == h and hash(other) == hash(h)
+            assert (other.breakpoints, other.nums, other.den) == (h.breakpoints, h.nums, h.den)
+        assert (step_scale(h, Fraction(1, 2)) == h) == (not any(h.nums))  # den counts in ==
 
 
 def test_step_add_rejects_ambient_mismatch():

@@ -17,9 +17,11 @@ from ordspace.grasberg import (
     constant,
     grasberg_norm,
     indicator,
+    level_sets,
     params,
     phi,
     random_ordinal,
+    random_step_function,
     step_function_to_json,
     step_scale,
     sup_on,
@@ -58,6 +60,8 @@ from ordspace.trees import (
 )
 from ordspace.szlenk import (
     CertificateError,
+    _leaves_unit_ball,
+    _small_on,
     dirac_derivative,
     extract_small_combination,
     index_of_CK,
@@ -365,6 +369,28 @@ def test_unit_ball_boundary(monkeypatch, value, outside, leaves, needs_sup):
     assert set(whole_space_sups) == ({block} if needs_sup else set())
     if not leaves:
         assert cert.verify(space)
+
+
+@pytest.mark.parametrize("text", ["w", "w*3+2", "w^(2)*2+w", "w^(3)"])
+def test_integer_decisions_match_the_fraction_rules(text):
+    """_small_on is sup_on(f, critical) < threshold and _leaves_unit_ball is
+    sup_on(f, space) > 1, ties at the threshold and values of exactly +-1 included."""
+    space = interval(parse(text))
+    ties = unit_values = leaves = 0
+    for seed in range(40):
+        f = random_step_function(space, 2 * seed, max_pieces=10, value_range=(-1 - seed % 2, 1 + seed % 2))
+        g = random_step_function(space, 2 * seed + 1, max_pieces=10)
+        criticals = [phi(g, space, Fraction(seed % 5 + 1, 4)), *level_sets(space), ClosedSet(space.ambient, ())]
+        unit_values += sum(abs(v) == 1 for v in f.values)
+        for critical in criticals:
+            sup = sup_on(f, critical)
+            ties += sup > 0
+            for threshold in {sup, sup + Fraction(1, 97), sup - Fraction(1, 97), Fraction(1, 2 ** (seed % 9))}:
+                if threshold > 0:
+                    assert _small_on(f, critical, threshold) == (sup < threshold)
+            assert _leaves_unit_ball(f, critical) == (sup > 1)
+            leaves += sup > 1
+    assert ties >= 40 and unit_values >= 40 and leaves >= 10  # each case is exercised
 
 
 def test_extraction_never_lists_the_critical_set(monkeypatch):
