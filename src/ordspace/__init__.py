@@ -22,20 +22,19 @@ _EXPORTS = {
     "grasberg": (
         "GrasbergParams", "KingReport", "QueenReport", "StepFunction", "check_king",
         "check_queen", "constant", "grasberg_norm", "indicator", "params", "phi",
-        "random_step_function", "step_add", "step_convex", "step_scale", "sup_on",
-        "value_at",
+        "step_add", "step_convex", "step_scale", "sup_on", "value_at",
     ),
+    "fuzz": ("random_step_function",),
     "trees": (
-        "EMPTY_TREE", "FactReport", "FamilyContractError", "FiniteTree",
-        "WeaklyNullFamily", "check_fact_i", "check_fact_ii", "family_from_table",
-        "iterated_prune", "marching_indicators", "max_nodes", "prune", "rank",
-        "strip", "subtree_above", "tree_from_json", "tree_from_text",
-        "tree_to_json", "tree_to_text", "zero_family",
+        "EMPTY_TREE", "FactReport", "FiniteTree", "check_fact_i", "check_fact_ii",
+        "iterated_prune", "max_nodes", "prune", "rank", "strip", "subtree_above",
+        "tree_from_json", "tree_from_text", "tree_to_json", "tree_to_text",
     ),
-    "szlenk": (
-        "CertificateError", "ExtractionCertificate", "SzlenkResult",
-        "dirac_derivative", "extract_small_combination", "index_of_CK",
-        "index_of_interval",
+    "szlenk": ("SzlenkResult", "dirac_derivative", "index_of_CK", "index_of_interval"),
+    "extract": (
+        "CertificateError", "ExtractionCertificate", "FamilyContractError",
+        "WeaklyNullFamily", "extract_small_combination", "family_from_table",
+        "marching_indicators", "zero_family",
     ),
 }
 

@@ -47,53 +47,6 @@ def _emit(args, text: str, payload) -> None:
         print(text)
 
 
-# ---- shrinking --------------------------------------------------------------
-
-
-def shrink_step_function(f: StepFunction, still_failing, max_steps: int = 200) -> StepFunction:
-    """Deterministically minimize a failing example.
-
-    First reduce the piece count (halving, then single drops), then simplify
-    values toward 0 (zeroing, integer truncation, halving up to the input's
-    largest denominator), keeping every change only while the failure
-    persists.  At most max_steps changes are kept, counted over both phases.
-    """
-    from fractions import Fraction
-
-    from .grasberg import StepFunction
-
-    top = max(v.denominator for v in f.values)
-
-    def piece_drops(f):
-        k = len(f.breakpoints)
-        kept = [[*range(1, k - 1, 2), k - 1]] if k > 2 else []
-        kept += [[j for j in range(k) if j != i] for i in range(k - 1)]
-        for keep in kept:
-            cand = StepFunction(
-                f.ambient, tuple(f.breakpoints[j] for j in keep), tuple(f.values[j] for j in keep)
-            )
-            if len(cand.breakpoints) < k:
-                yield cand
-
-    def value_simplifications(f):
-        for i, v in enumerate(f.values):
-            for repl in (Fraction(0), Fraction(int(v)), v / 2):
-                if repl != v and repl.denominator <= top:
-                    yield StepFunction(
-                        f.ambient, f.breakpoints, f.values[:i] + (repl,) + f.values[i + 1 :]
-                    )
-
-    steps = 0
-    for candidates in (piece_drops, value_simplifications):
-        while steps < max_steps:
-            better = next((c for c in candidates(f) if still_failing(c)), None)
-            if better is None:
-                break
-            f = better
-            steps += 1
-    return f
-
-
 # ---- input helpers ----------------------------------------------------------
 
 
@@ -136,7 +89,7 @@ def _load_tree(path: str):
 
 
 def _load_family(space, name_or_path: str, ladder: Ordinal):
-    from .trees import family_from_table, marching_indicators
+    from .extract import family_from_table, marching_indicators
 
     if name_or_path == "marching-indicators":
         return marching_indicators(space, step=ladder)
@@ -224,40 +177,13 @@ def _cmd_grasberg(args) -> int:
     return 0
 
 
-def _trial_eps(trial_seed: int):
-    import random
-    from fractions import Fraction
-
-    rng = random.Random(3 * trial_seed + 2)
-    return Fraction(rng.randint(1, 40), 20)
-
-
-def _check_king_trial(space, trial_seed: int, max_pieces: int):
-    from .grasberg import random_step_function
-
-    f = random_step_function(space, 3 * trial_seed, max_pieces=max_pieces)
-    return (f,), _trial_eps(trial_seed)
-
-
-def _check_queen_trial(space, trial_seed: int, max_pieces: int):
-    from .grasberg import params, phi, random_step_function, step_scale, sup_on
-
-    f = random_step_function(space, 3 * trial_seed, max_pieces=max_pieces)
-    g = random_step_function(space, 3 * trial_seed + 1, max_pieces=max_pieces)
-    eps = _trial_eps(trial_seed)
-    cap = eps / 2 ** params(space).b
-    spread = sup_on(g, phi(f, space, eps))
-    if spread > cap:
-        g = step_scale(g, cap / spread)
-    return (f, g), eps
-
-
 def _cmd_check(args) -> int:
     z = parse(args.space)
     if args.trials < 0:
         raise ValueError("trials must be >= 0")
     if args.max_pieces < 1:
         raise ValueError("max_pieces must be >= 1")
+    from .fuzz import _check_king_trial, _check_queen_trial, shrink_step_function
     from .grasberg import check_king, check_queen, params, step_function_to_json
     from .topology import interval
 
@@ -319,9 +245,8 @@ def _cmd_tree(args) -> int:
 
 def _cmd_extract(args) -> int:
     z, ladder = parse(args.space), parse(args.ladder)
-    from .szlenk import extract_small_combination
+    from .extract import FamilyContractError, extract_small_combination
     from .topology import interval
-    from .trees import FamilyContractError
 
     space = interval(z)
     family = _load_family(space, args.family, ladder)

@@ -1,0 +1,335 @@
+"""Weakly-null families, and certified small convex combinations of them.
+
+extract_small_combination walks one branch of a family's tree of child-index
+paths, adding at each stage a child that is tiny on the critical set of the
+running sum; its ExtractionCertificate is replayed by verify through the same
+stage loop.  Only spaces of finite height (o = 0) are in scope.
+"""
+
+from __future__ import annotations
+
+from collections import namedtuple
+from dataclasses import dataclass, fields
+from fractions import Fraction
+from functools import reduce
+
+from .ordinal import ONE, Ordinal, format_ordinal, mul_nat
+from .topology import ClosedSet, cb_index
+from .grasberg import (
+    Rational,
+    StepFunction,
+    _sup_num,
+    argmax_on,
+    constant,
+    grasberg_norm,
+    indicator,
+    params,
+    phi,
+    step_add,
+    step_function_from_json,
+    step_scale,
+    sup_on,
+)
+
+
+# ---- weakly null families ---------------------------------------------------
+
+
+class FamilyContractError(RuntimeError):
+    """A family failed its pointwise-null or norm-bound contract."""
+
+    def __init__(self, path: tuple[int, ...], point, message: str):
+        self.path = tuple(path)
+        self.point = point
+        detail = f"family contract violated at node {list(self.path)}"
+        if point is not None:
+            detail += f", witness point {point}"
+        super().__init__(f"{detail}: {message}")
+
+
+class WeaklyNullFamily(
+    namedtuple("WeaklyNullFamily", "space at search_limit", defaults=(None,))
+):
+    """Step functions indexed by paths of child indices.
+
+    Contract: each function is bounded by 1 in sup norm on the space, and at
+    every node the children's values die out pointwise, i.e. for each point of
+    the space and each positive threshold, all but finitely many children stay
+    below the threshold there.  The second half cannot be certified by any
+    finite amount of evaluation, so extraction searches children up to a
+    budget (search_limit if set, else the caller's) and reports a contract
+    violation when the budget runs out.
+
+    Fields: space, the closed set the family lives on; at, the map from a
+    path (a tuple of child indices) to its step function; search_limit, an
+    optional cap on the child search.
+    """
+
+    __slots__ = ()
+
+
+def marching_indicators(space: ClosedSet, step: Ordinal = ONE) -> WeaklyNullFamily:
+    """Indicators of the consecutive windows (step*(k+1), step*(k+2)].
+
+    The window marches right as the child index k grows, so on any fixed
+    finite point set the children are eventually zero.  Windows are clamped
+    to the ambient interval; the path's last index alone decides the window.
+    """
+    if step.is_zero():
+        raise ValueError("ladder step must be a positive ordinal")
+    ambient = space.ambient
+
+    def clamp(x: Ordinal) -> Ordinal:
+        return x if x <= ambient else ambient
+
+    def at(path: tuple[int, ...]) -> StepFunction:
+        if not path:
+            return constant(ambient, 0)
+        k = path[-1]
+        return indicator(ambient, clamp(mul_nat(step, k + 1)), clamp(mul_nat(step, k + 2)))
+
+    return WeaklyNullFamily(space=space, at=at)
+
+
+def zero_family(space: ClosedSet) -> WeaklyNullFamily:
+    zero = constant(space.ambient, 0)
+    return WeaklyNullFamily(space=space, at=lambda path: zero)
+
+
+def family_from_table(space: ClosedSet, table: dict) -> WeaklyNullFamily:
+    """Family given by a finite table {path -> step function}.
+
+    The table is an object {"cutoff": n, "entries": [{"path": [k, ...], "fn":
+    f}, ...], "default": f or null}: a required integer cutoff >= 1, paths of
+    integers >= 0, and v1 step-function JSON for every f.  Listed paths map
+    to their functions; unlisted paths fall back to the default, else to
+    zero.  The cutoff caps the child search, since a finite table cannot
+    promise anything beyond it.  A malformed table raises a ValueError that
+    names the field.
+    """
+
+    def decode(data, field: str) -> StepFunction:
+        try:
+            fn = step_function_from_json(data)
+        except ValueError as exc:
+            raise ValueError(f"family table {field}: {exc}") from None
+        if fn.ambient != space.ambient:
+            raise ValueError(f"family table {field} lives on a different ambient interval")
+        return fn
+
+    if not isinstance(table, dict):
+        raise ValueError("family table must be a JSON object")
+    if "cutoff" not in table:
+        raise ValueError("family table requires an explicit 'cutoff'")
+    cutoff = table["cutoff"]
+    if type(cutoff) is not int or cutoff < 1:
+        raise ValueError(f"family table cutoff must be an integer >= 1, got {cutoff!r}")
+    items = table.get("entries", [])
+    if not isinstance(items, list):
+        raise ValueError("family table entries must be an array")
+    entries: dict[tuple[int, ...], StepFunction] = {}
+    for i, item in enumerate(items):
+        if not (isinstance(item, dict) and "path" in item and "fn" in item):
+            raise ValueError(f"family table entries[{i}] must be an object with path and fn keys")
+        path = item["path"]
+        if not (isinstance(path, list) and all(type(k) is int and k >= 0 for k in path)):
+            raise ValueError(f"family table entries[{i}].path must be an array of integers >= 0")
+        entries[tuple(path)] = decode(item["fn"], f"entries[{i}].fn")
+    default = None if table.get("default") is None else decode(table["default"], "default")
+    zero = constant(space.ambient, 0)
+
+    def at(path: tuple[int, ...]) -> StepFunction:
+        fn = entries.get(tuple(path))
+        if fn is not None:
+            return fn
+        return default if default is not None else zero
+
+    return WeaklyNullFamily(space=space, at=at, search_limit=cutoff)
+
+
+# ---- extraction -------------------------------------------------------------
+
+
+class CertificateError(ValueError):
+    """An extraction certificate failed re-verification."""
+
+
+def _leaves_unit_ball(f: StepFunction, space: ClosedSet) -> bool:
+    # a sup over a subset is at most the max, so only a |value| > 1 (|num| > den) needs the sup
+    return (max(f.nums) > f.den or -min(f.nums) > f.den) and sup_on(f, space) > 1
+
+
+def _small_on(f: StepFunction, critical: ClosedSet, threshold: Fraction) -> bool:
+    """sup_on(f, critical) < threshold, decided on integers with no Fraction built."""
+    return _sup_num(f, critical) * threshold.denominator < threshold.numerator * f.den
+
+
+@dataclass(frozen=True)
+class ExtractionCertificate:
+    """Transcript of one extraction run; every field is exact.
+
+    branch[m] is the path after stage m+1; blocks[m] the function added
+    there; stage_norms[m] the Grasberg norm of the running scaled sum.
+    """
+
+    branch: tuple[tuple[int, ...], ...]
+    blocks: tuple[StepFunction, ...]
+    stage_norms: tuple[Fraction, ...]
+    eps: Fraction
+    n: int
+    final: StepFunction
+    final_norm: Fraction
+    delta: Fraction
+
+    def to_json(self) -> dict:
+        return {
+            "n": self.n,
+            "eps": str(self.eps),
+            "branch": [list(path) for path in self.branch],
+            "stageNorms": [str(x) for x in self.stage_norms],
+            "finalNorm": str(self.final_norm),
+        }
+
+    def verify(self, space: ClosedSet) -> bool:
+        """Replay the stored branch and blocks through the stage loop, then
+        compare every field with the recomputed certificate; raise on any mismatch."""
+        if cb_index(space) <= ONE or not params(space).o.is_zero():
+            raise CertificateError("certificate requires an infinite space of finite height")
+        if not isinstance(self.delta, Fraction):
+            raise CertificateError("delta must be a Fraction")
+        if self.delta <= 0:
+            raise CertificateError("delta must be positive")
+
+        def replay(m, path, critical, threshold):
+            if m >= len(self.branch) or len(self.branch) != len(self.blocks):
+                raise CertificateError("stage count mismatch")
+            return self.branch[m], self.blocks[m]
+
+        again = _stages(space, self.delta, replay)
+        differ = [f.name for f in fields(self) if getattr(self, f.name) != getattr(again, f.name)]
+        if differ:
+            raise CertificateError(f"fields do not recompute: {', '.join(differ)}")
+        return True
+
+
+def _stages(space: ClosedSet, delta: Fraction, choose) -> ExtractionCertificate:
+    """The stage recurrence: building (extract_small_combination) and checking
+    (ExtractionCertificate.verify) differ only in choose(m, path, critical,
+    threshold), which gives stage m's path and block.  Every link of the
+    chain of bounds in extract_small_combination is checked on exact values.
+    """
+    b = params(space).b
+    n = int(Fraction(2 ** (2 + b)) / delta) + 1
+    eps = Fraction(1, 2 * n)
+    if (1 + eps) ** n >= 2:
+        raise CertificateError("(1+eps)^n must stay below 2")
+    threshold = eps / 2**b
+    scale = Fraction(1, 2 ** (1 + b))
+
+    running = constant(space.ambient, 0)
+    growth = Fraction(1)  # (1+eps)^m, as a running product
+    path: tuple[int, ...] = ()
+    branch: list[tuple[int, ...]] = []
+    blocks: list[StepFunction] = []
+    stage_norms: list[Fraction] = []
+
+    for m in range(n):
+        critical = phi(running, space, eps)
+        step, block = choose(m, path, critical, threshold)
+        if len(step) != m + 1 or step[:m] != path:
+            raise CertificateError("branch is not a chain of extending paths")
+        if block.ambient != space.ambient:
+            raise CertificateError(f"block {m + 1} lives on a different ambient interval")
+        if _leaves_unit_ball(block, space):
+            raise CertificateError(f"block {m + 1} leaves the unit ball")
+        if not _small_on(block, critical, threshold):
+            raise CertificateError(f"block {m + 1} is not small on the critical set")
+        path = step
+        running = step_add(running, step_scale(block, scale))
+        norm = grasberg_norm(running, space)
+        if norm > growth:
+            raise CertificateError(f"stage bound fails at stage {m + 1}")
+        growth *= 1 + eps
+        branch.append(path)
+        blocks.append(block)
+        stage_norms.append(norm)
+
+    final = step_scale(reduce(step_add, blocks), Fraction(1, n))
+    final_norm = grasberg_norm(final, space)
+    if final_norm != Fraction(2 ** (1 + b), n) * stage_norms[-1]:
+        raise CertificateError("homogeneity identity fails")
+    if final_norm >= delta:
+        raise CertificateError("final norm is not below delta")
+    return ExtractionCertificate(
+        branch=tuple(branch),
+        blocks=tuple(blocks),
+        stage_norms=tuple(stage_norms),
+        eps=eps,
+        n=n,
+        final=final,
+        final_norm=final_norm,
+        delta=delta,
+    )
+
+
+def extract_small_combination(
+    space: ClosedSet,
+    family: WeaklyNullFamily,
+    delta: Rational,
+    max_probes: int = 10**6,
+) -> ExtractionCertificate:
+    """Walk one branch, adding family functions small on each critical set.
+
+    At stage m the running sum g carries the previously chosen blocks with
+    weight 1/2^(1+b); its critical set is finite (the king bound at finite
+    height, checked as cb_index <= 1 without listing the points), so children
+    of the current node are probed in index order until one is below eps/2^b
+    everywhere on it.  The average of the chosen blocks then has Grasberg
+    norm below delta, by the exact chain
+    |final| = (2^(1+b)/n)|g| <= 2^(1+b)(1+eps)^(n-1)/n < 2^(2+b)/n < delta.
+
+    A probe is one sup over the atoms of the critical set.  With a family
+    such as marching_indicators, where stage k settles after about k probes,
+    a run costs about n^2 probes.  Only when the probe budget runs out is a
+    witness point computed for the error: the first point of the critical set
+    where the last candidate is largest, found from the candidate's pieces
+    without listing points.  The certificate is built by the same stage loop
+    that verify(space) replays, which checks (1+eps)^n < 2 and every bound.
+    """
+    if max_probes < 0:
+        raise ValueError("max_probes must be >= 0")
+    delta = Fraction(delta)
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    if family.space != space:
+        raise ValueError("family is declared on a different space")
+    p = params(space)
+    if not p.o.is_zero():
+        raise ValueError(
+            "extraction supports only spaces of finite height "
+            f"(cb a finite successor); this space has o = {format_ordinal(p.o)}"
+        )
+    budget = max_probes if family.search_limit is None else min(max_probes, family.search_limit)
+
+    def probe(m, path, critical, threshold):
+        if cb_index(critical) > ONE:
+            raise AssertionError("critical set must be finite at finite height")
+        candidate = None
+        for k in range(budget):
+            candidate = family.at(path + (k,))
+            if candidate.ambient != space.ambient:
+                raise FamilyContractError(
+                    path + (k,), None, "function lives on a different ambient interval"
+                )
+            if _leaves_unit_ball(candidate, space):
+                raise FamilyContractError(path + (k,), None, "function exceeds the unit ball")
+            if _small_on(candidate, critical, threshold):
+                return path + (k,), candidate
+        raise FamilyContractError(
+            path,
+            None if candidate is None else argmax_on(candidate, critical),
+            f"no child fell below {threshold} on the critical set "
+            f"within {budget} probes",
+        )
+
+    return _stages(space, delta, probe)

@@ -12,7 +12,6 @@ since the queen inequality can be attained with equality.
 
 from __future__ import annotations
 
-import random
 import re
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
@@ -24,10 +23,7 @@ from operator import attrgetter
 
 from .ordinal import (
     ONE,
-    ZERO,
     Ordinal,
-    _trusted,
-    add,
     compare,
     format_ordinal,
     from_json as ordinal_from_json,
@@ -43,7 +39,6 @@ from .topology import (
     cb_index,
     clip_atom,
     iterated_derivative,
-    roundup,
     to_json as closed_set_to_json,
 )
 
@@ -378,93 +373,6 @@ def check_queen(
     )
 
 
-# ---- fuzz generators --------------------------------------------------------
-
-
-def random_ordinal(rng: random.Random, bound: Ordinal) -> Ordinal:
-    """A structurally random ordinal in [0, bound]; deterministic per rng state.
-
-    Builds the CNF term list in one pass: each exponent is drawn at most
-    equal to its predecessor, a repeated exponent adds its coefficient to
-    the last term and a smaller one appends a term.  Then clamps to the bound.
-    """
-    if not bound:
-        return ZERO
-    roll = rng.random()
-    if roll < 0.08:
-        return ZERO
-    if roll < 0.16:
-        return bound
-    exp_bound = bound[0][0]
-    terms: list[tuple[Ordinal, int]] = []
-    for _ in range(rng.randint(1, 3)):
-        e = random_ordinal(rng, exp_bound)
-        k = rng.randint(1, 9)
-        if terms and terms[-1][0] == e:
-            k += terms.pop()[1]
-        terms.append((e, k))
-        if not e:
-            break
-        exp_bound = e
-    return min(_trusted(tuple(terms)), bound)
-
-
-@lru_cache(maxsize=256)
-def _landmarks(space: ClosedSet) -> frozenset[Ordinal]:
-    """Each level's singletons and first two multiples of w^mu in each stratum."""
-    pool: set[Ordinal] = set()
-    try:
-        levels = level_sets(space)
-    except ValueError:
-        levels = (space,)
-    for level in levels:
-        for atom in level.atoms:
-            if isinstance(atom, Singleton):
-                pool.add(atom.point)
-            else:
-                first = roundup(atom.lo, atom.mu)
-                pool.add(first)
-                second = add(first, omega_pow(atom.mu))
-                if second <= atom.hi:
-                    pool.add(second)
-    return frozenset(pool)
-
-
-def random_step_function(
-    space: ClosedSet,
-    seed: int,
-    max_pieces: int = 6,
-    value_range: tuple[Rational, Rational] = (-1, 1),
-) -> StepFunction:
-    """Deterministic fuzz generator.
-
-    Breakpoints are drawn from random CNF points below the ambient plus the
-    landmark multiples at each derivative level, so that cut points land on
-    derived sets often enough to make the norm levels matter.
-    """
-    if max_pieces < 1:
-        raise ValueError("max_pieces must be >= 1")
-    rng = random.Random(seed)
-    ambient = space.ambient
-    lo_v, hi_v = Fraction(value_range[0]), Fraction(value_range[1])
-    if lo_v > hi_v:
-        raise ValueError("empty value range")
-
-    pool = _landmarks(space).union(random_ordinal(rng, ambient) for _ in range(3 * max_pieces + 4))
-    candidates = sorted(x for x in pool if x < ambient)
-
-    count = rng.randint(1, max_pieces)
-    chosen = rng.sample(candidates, min(count - 1, len(candidates)))
-    breakpoints = sorted(set(chosen)) + [ambient]
-    # lo + span * k/den = (ln*sd*840 + sn*ld*k*(840/den)) / (ld*sd*840), as den <= 8
-    (ln, ld), (sn, sd) = lo_v.as_integer_ratio(), (hi_v - lo_v).as_integer_ratio()
-    nums = []
-    for _ in breakpoints:
-        den = rng.randint(1, 8)
-        nums.append(ln * sd * 840 + sn * ld * rng.randint(0, den) * (840 // den))
-    return _step(ambient, breakpoints, nums, ld * sd * 840)
-
-
 # ---- serialization ----------------------------------------------------------
 
 
@@ -502,3 +410,11 @@ def step_function_from_json(data: dict) -> StepFunction:
         bps.append(ordinal_from_json(_field(piece, "upTo", "step function piece")))
         vals.append(Fraction(value))
     return StepFunction(ambient, bps, vals)
+
+
+def __getattr__(name: str):  # PEP 562: moved to ordspace.fuzz; old imports still work
+    if name not in ("random_ordinal", "random_step_function"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import fuzz
+
+    return getattr(fuzz, name)

@@ -1,4 +1,4 @@
-"""Finite well-founded trees and the weakly-null family contract.
+"""Finite well-founded trees: rank, pruning, stripping and the two rank facts.
 
 A tree is a finite set of nodes with a partial parent map; nodes without a
 parent hang off an implicit root that is never itself a member.  Pruning
@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from collections.abc import Hashable, Mapping
-
-from .ordinal import ONE, Ordinal, mul_nat
 
 Node = Hashable
 
@@ -275,121 +273,9 @@ def tree_from_json(data: dict) -> FiniteTree:
     return FiniteTree(entries)
 
 
-# ---- weakly null families ---------------------------------------------------
+def __getattr__(name: str):  # PEP 562: moved to ordspace.extract; old imports still work
+    if name != "marching_indicators":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .extract import marching_indicators
 
-
-class FamilyContractError(RuntimeError):
-    """A family failed its pointwise-null or norm-bound contract."""
-
-    def __init__(self, path: tuple[int, ...], point, message: str):
-        self.path = tuple(path)
-        self.point = point
-        detail = f"family contract violated at node {list(self.path)}"
-        if point is not None:
-            detail += f", witness point {point}"
-        super().__init__(f"{detail}: {message}")
-
-
-class WeaklyNullFamily(
-    namedtuple("WeaklyNullFamily", "space at search_limit", defaults=(None,))
-):
-    """Step functions indexed by paths of child indices.
-
-    Contract: each function is bounded by 1 in sup norm on the space, and at
-    every node the children's values die out pointwise, i.e. for each point of
-    the space and each positive threshold, all but finitely many children stay
-    below the threshold there.  The second half cannot be certified by any
-    finite amount of evaluation, so extraction searches children up to a
-    budget (search_limit if set, else the caller's) and reports a contract
-    violation when the budget runs out.
-
-    Fields: space, the closed set the family lives on; at, the map from a
-    path (a tuple of child indices) to its step function; search_limit, an
-    optional cap on the child search.
-    """
-
-    __slots__ = ()
-
-
-def marching_indicators(space: ClosedSet, step: Ordinal = ONE) -> WeaklyNullFamily:
-    """Indicators of the consecutive windows (step*(k+1), step*(k+2)].
-
-    The window marches right as the child index k grows, so on any fixed
-    finite point set the children are eventually zero.  Windows are clamped
-    to the ambient interval; the path's last index alone decides the window.
-    """
-    from .grasberg import constant, indicator
-
-    if step.is_zero():
-        raise ValueError("ladder step must be a positive ordinal")
-    ambient = space.ambient
-
-    def clamp(x: Ordinal) -> Ordinal:
-        return x if x <= ambient else ambient
-
-    def at(path: tuple[int, ...]) -> StepFunction:
-        if not path:
-            return constant(ambient, 0)
-        k = path[-1]
-        return indicator(ambient, clamp(mul_nat(step, k + 1)), clamp(mul_nat(step, k + 2)))
-
-    return WeaklyNullFamily(space=space, at=at)
-
-
-def zero_family(space: ClosedSet) -> WeaklyNullFamily:
-    from .grasberg import constant
-
-    zero = constant(space.ambient, 0)
-    return WeaklyNullFamily(space=space, at=lambda path: zero)
-
-
-def family_from_table(space: ClosedSet, table: dict) -> WeaklyNullFamily:
-    """Family given by a finite table {path -> step function}.
-
-    The table is an object {"cutoff": n, "entries": [{"path": [k, ...], "fn":
-    f}, ...], "default": f or null}: a required integer cutoff >= 1, paths of
-    integers >= 0, and v1 step-function JSON for every f.  Listed paths map
-    to their functions; unlisted paths fall back to the default, else to
-    zero.  The cutoff caps the child search, since a finite table cannot
-    promise anything beyond it.  A malformed table raises a ValueError that
-    names the field.
-    """
-    from .grasberg import constant, step_function_from_json
-
-    def decode(data, field: str) -> StepFunction:
-        try:
-            fn = step_function_from_json(data)
-        except ValueError as exc:
-            raise ValueError(f"family table {field}: {exc}") from None
-        if fn.ambient != space.ambient:
-            raise ValueError(f"family table {field} lives on a different ambient interval")
-        return fn
-
-    if not isinstance(table, dict):
-        raise ValueError("family table must be a JSON object")
-    if "cutoff" not in table:
-        raise ValueError("family table requires an explicit 'cutoff'")
-    cutoff = table["cutoff"]
-    if type(cutoff) is not int or cutoff < 1:
-        raise ValueError(f"family table cutoff must be an integer >= 1, got {cutoff!r}")
-    items = table.get("entries", [])
-    if not isinstance(items, list):
-        raise ValueError("family table entries must be an array")
-    entries: dict[tuple[int, ...], StepFunction] = {}
-    for i, item in enumerate(items):
-        if not (isinstance(item, dict) and "path" in item and "fn" in item):
-            raise ValueError(f"family table entries[{i}] must be an object with path and fn keys")
-        path = item["path"]
-        if not (isinstance(path, list) and all(type(k) is int and k >= 0 for k in path)):
-            raise ValueError(f"family table entries[{i}].path must be an array of integers >= 0")
-        entries[tuple(path)] = decode(item["fn"], f"entries[{i}].fn")
-    default = None if table.get("default") is None else decode(table["default"], "default")
-    zero = constant(space.ambient, 0)
-
-    def at(path: tuple[int, ...]) -> StepFunction:
-        fn = entries.get(tuple(path))
-        if fn is not None:
-            return fn
-        return default if default is not None else zero
-
-    return WeaklyNullFamily(space=space, at=at, search_limit=cutoff)
+    return marching_indicators

@@ -16,7 +16,7 @@ from ordspace.ordinal import (
     mul_nat,
     omega_pow,
 )
-from ordspace.grasberg import random_ordinal
+from ordspace.fuzz import random_ordinal
 from ordspace.topology import ClosedSet, Singleton, Stratum, interval, roundup
 from ordspace.trees import FiniteTree
 

@@ -12,7 +12,8 @@ from types import SimpleNamespace
 import jsonschema
 import pytest
 
-from ordspace.cli import run, shrink_step_function, _color_enabled
+from ordspace.cli import run, _color_enabled
+from ordspace.fuzz import shrink_step_function
 from ordspace.grasberg import StepFunction, constant, step_function_to_json, sup_on
 from ordspace.ordinal import OMEGA, from_int
 from ordspace.topology import interval

@@ -23,8 +23,6 @@ from ordspace.grasberg import (
     level_sets,
     params,
     phi,
-    random_ordinal,
-    random_step_function,
     step_add,
     step_convex,
     step_scale,
@@ -33,6 +31,7 @@ from ordspace.grasberg import (
     step_function_from_json,
     step_function_to_json,
 )
+from ordspace.fuzz import random_ordinal, random_step_function
 from ordspace.ordinal import (
     OMEGA,
     ONE,

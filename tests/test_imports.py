@@ -12,7 +12,7 @@ import pytest
 import ordspace
 
 SRC = str(Path(ordspace.__file__).resolve().parents[1])
-LAYERS = ("ordinal", "topology", "grasberg", "trees", "szlenk")
+LAYERS = ("ordinal", "topology", "grasberg", "trees", "szlenk", "extract", "fuzz")
 
 
 def loaded_by(code: str, *args: str) -> list:
@@ -49,6 +49,35 @@ def test_unknown_attribute_raises_attribute_error():
 
 def test_version_unchanged():
     assert ordspace.__version__ == "0.1.0"
+
+
+# name -> (old module, new module), for the names tests/test_acceptance.py imports from the old one
+FORWARDED = {
+    "random_ordinal": ("grasberg", "fuzz"),
+    "random_step_function": ("grasberg", "fuzz"),
+    "marching_indicators": ("trees", "extract"),
+    "extract_small_combination": ("szlenk", "extract"),
+}
+
+
+@pytest.mark.parametrize("name", list(FORWARDED))
+def test_moved_name_is_the_same_object_in_its_old_module(name):
+    old, new = (importlib.import_module(f"ordspace.{m}") for m in FORWARDED[name])
+    assert getattr(old, name) is getattr(new, name)
+
+
+@pytest.mark.parametrize(
+    "old, name",
+    [
+        ("trees", "family_from_table"),
+        ("szlenk", "ExtractionCertificate"),
+        ("grasberg", "shrink_step_function"),
+    ],
+)
+def test_other_moved_names_are_not_forwarded(old, name):
+    module = importlib.import_module(f"ordspace.{old}")
+    with pytest.raises(AttributeError, match=f"module 'ordspace.{old}' has no attribute '{name}'"):
+        getattr(module, name)
 
 
 def test_package_import_loads_no_layer():
@@ -101,3 +130,34 @@ def test_parse_error_loads_only_the_ordinal_layer():
         "ordspace.cli",
         "ordspace.ordinal",
     }
+
+
+def test_szlenk_loads_only_the_index_layer():
+    code, added = command_footprint(["szlenk", "w^(w)"])
+    assert code == 0
+    assert {m for m in added if m.startswith("ordspace")} == {
+        "ordspace",
+        "ordspace.cli",
+        "ordspace.ordinal",
+        "ordspace.topology",
+        "ordspace.szlenk",
+    }
+    assert "dataclasses" not in added
+
+
+# command -> (argv, layers it must not load); {tree} is a tree file
+SKIPPED = {
+    "check": (["check", "king", "--space", "w", "--trials", "3"], ("trees", "szlenk", "extract")),
+    "extract": (["extract", "--space", "w", "--delta", "1/2"], ("fuzz", "szlenk", "trees")),
+    "tree": (["tree", "rank", "--file", "{tree}"], ("topology", "grasberg")),
+}
+
+
+@pytest.mark.parametrize("command", list(SKIPPED))
+def test_command_skips_the_layers_it_does_not_use(tmp_path, command):
+    tree = tmp_path / "t.txt"
+    tree.write_text("a -\nb a\n")
+    argv, skipped = SKIPPED[command]
+    code, added = command_footprint([arg.format(tree=tree) for arg in argv])
+    assert code == 0
+    assert not {f"ordspace.{layer}" for layer in skipped} & added

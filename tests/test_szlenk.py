@@ -3,15 +3,30 @@
 import dataclasses
 import hashlib
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 
+import ordspace.extract
+import ordspace.fuzz
 import ordspace.grasberg
 import ordspace.szlenk
 import ordspace.topology
 import ordspace.trees
+from ordspace.extract import (
+    CertificateError,
+    FamilyContractError,
+    WeaklyNullFamily,
+    _leaves_unit_ball,
+    _small_on,
+    extract_small_combination,
+    family_from_table,
+    marching_indicators,
+    zero_family,
+)
+from ordspace.fuzz import random_ordinal, random_step_function
 from ordspace.grasberg import (
     StepFunction,
     constant,
@@ -20,8 +35,6 @@ from ordspace.grasberg import (
     level_sets,
     params,
     phi,
-    random_ordinal,
-    random_step_function,
     step_function_to_json,
     step_scale,
     sup_on,
@@ -51,22 +64,7 @@ from ordspace.topology import (
     is_empty,
     iterated_derivative,
 )
-from ordspace.trees import (
-    WeaklyNullFamily,
-    FamilyContractError,
-    family_from_table,
-    marching_indicators,
-    zero_family,
-)
-from ordspace.szlenk import (
-    CertificateError,
-    _leaves_unit_ball,
-    _small_on,
-    dirac_derivative,
-    extract_small_combination,
-    index_of_CK,
-    index_of_interval,
-)
+from ordspace.szlenk import SzlenkResult, dirac_derivative, index_of_CK, index_of_interval
 
 from conftest import closed_sets, landmark_points, ordinals, small_ordinals
 
@@ -188,6 +186,19 @@ def test_result_json_fields():
     data = index_of_CK(interval(OMEGA)).to_json()
     assert data["indexText"] == "w"
     assert data["cbText"] == "2"
+
+
+def test_result_survives_pickle_and_keeps_its_json():
+    result = index_of_CK(interval(omega_pow(OMEGA)))
+    again = pickle.loads(pickle.dumps(result))
+    assert type(again) is SzlenkResult and again == result
+    assert again.to_json() == {
+        "index": [[[[[], 2]], 1]],
+        "exponent": [[[], 2]],
+        "cb": [[[[[], 1]], 1], [[], 1]],
+        "indexText": "w^(2)",
+        "cbText": "w+1",
+    }
 
 
 # --- dirac_derivative -----------------------------------------------------------
@@ -359,7 +370,7 @@ def test_unit_ball_boundary(monkeypatch, value, outside, leaves, needs_sup):
             whole_space_sups.append(f)
         return sup_on(f, subset)
 
-    monkeypatch.setattr(ordspace.szlenk, "sup_on", recording_sup_on)
+    monkeypatch.setattr(ordspace.extract, "sup_on", recording_sup_on)
     if leaves:
         with pytest.raises(FamilyContractError, match=r"node \[0\]: function exceeds the unit ball"):
             extract_small_combination(space, family, Fraction(1, 2))
@@ -397,7 +408,14 @@ def test_extraction_never_lists_the_critical_set(monkeypatch):
     def refuse(space):
         raise AssertionError("finite_points called during extraction")
 
-    for module in (ordspace.topology, ordspace.grasberg, ordspace.szlenk, ordspace.trees):
+    for module in (
+        ordspace.topology,
+        ordspace.grasberg,
+        ordspace.szlenk,
+        ordspace.trees,
+        ordspace.extract,
+        ordspace.fuzz,
+    ):
         monkeypatch.setattr(module, "finite_points", refuse, raising=False)
     for text, delta in (("w", "1/2"), ("w^(2)*2", "1/2")):
         space = interval(parse(text))
@@ -482,9 +500,21 @@ def test_certificate_detects_tampering(changes, message):
         forged.verify(space)
 
 
+@pytest.mark.parametrize(
+    "space",
+    [interval(from_int(5)), interval(omega_pow(OMEGA)), ClosedSet(OMEGA, [])],
+    ids=["finite", "tall", "empty"],
+)
+def test_certificate_rejects_spaces_without_finite_height(space):
+    omega = interval(OMEGA)
+    cert = extract_small_combination(omega, marching_indicators(omega), Fraction(1, 2))
+    with pytest.raises(CertificateError, match="requires an infinite space of finite height"):
+        cert.verify(space)
+
+
 def test_extraction_applies_the_stage_bound(monkeypatch):
     # extraction does not call verify; the stage loop it shares with verify checks the bounds
-    monkeypatch.setattr(ordspace.szlenk, "grasberg_norm", lambda f, space: Fraction(3))
+    monkeypatch.setattr(ordspace.extract, "grasberg_norm", lambda f, space: Fraction(3))
     space = interval(OMEGA)
     with pytest.raises(CertificateError, match="stage bound fails at stage 1"):
         extract_small_combination(space, marching_indicators(space), Fraction(1, 2))
@@ -497,7 +527,7 @@ def test_extraction_checks_the_homogeneity_identity(monkeypatch):
         calls.append(f)  # the 17 stage norms are right, the final one is doubled
         return grasberg_norm(f, space) * (2 if len(calls) == 18 else 1)
 
-    monkeypatch.setattr(ordspace.szlenk, "grasberg_norm", norm)
+    monkeypatch.setattr(ordspace.extract, "grasberg_norm", norm)
     space = interval(OMEGA)
     with pytest.raises(CertificateError, match="homogeneity identity fails"):
         extract_small_combination(space, marching_indicators(space), Fraction(1, 2))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordspace.grasberg import random_ordinal
+from ordspace.fuzz import random_ordinal
 from ordspace.ordinal import (
     OMEGA,
     ONE,
@@ -337,7 +337,7 @@ def test_derivative_membership_coherence(s):
 @pytest.mark.parametrize("alpha", [0, 1, 2])
 @pytest.mark.parametrize("beta", [0, 1, 2, 3])
 def test_display_membership_sample(alpha, beta):
-    from ordspace.grasberg import random_ordinal
+    from ordspace.fuzz import random_ordinal
 
     alpha_o, beta_o = from_int(alpha), from_int(beta)
     top = omega_pow(alpha_o)

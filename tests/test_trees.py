@@ -9,13 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ordspace.grasberg import (
-    constant,
-    random_step_function,
-    step_function_to_json,
-    sup_on,
-    value_at,
-)
+from ordspace.extract import family_from_table, marching_indicators, zero_family
+from ordspace.fuzz import random_step_function
+from ordspace.grasberg import constant, step_function_to_json, sup_on, value_at
 from ordspace.ordinal import OMEGA, ONE, ZERO, from_int, mul_nat, parse
 from ordspace.topology import interval
 from ordspace.trees import (
@@ -24,9 +20,7 @@ from ordspace.trees import (
     FiniteTree,
     check_fact_i,
     check_fact_ii,
-    family_from_table,
     iterated_prune,
-    marching_indicators,
     max_nodes,
     prune,
     rank,
@@ -36,7 +30,6 @@ from ordspace.trees import (
     tree_from_text,
     tree_to_json,
     tree_to_text,
-    zero_family,
 )
 
 from conftest import longest_chain, random_tree
