@@ -126,13 +126,16 @@ def _check_queen_trial(space, trial_seed: int, max_pieces: int):
 # ---- shrinking --------------------------------------------------------------
 
 
-def shrink_step_function(f: StepFunction, still_failing, max_steps: int = 200) -> StepFunction:
+MAX_SHRINK_STEPS = 200
+
+
+def shrink_step_function(f: StepFunction, still_failing) -> StepFunction:
     """Deterministically minimize a failing example.
 
     First reduce the piece count (halving, then single drops), then simplify
     values toward 0 (zeroing, integer truncation, halving up to the input's
     largest denominator), keeping every change only while the failure
-    persists.  At most max_steps changes are kept, counted over both phases.
+    persists.  At most MAX_SHRINK_STEPS (200) changes are kept over both phases.
     """
     top = max(v.denominator for v in f.values)
 
@@ -157,7 +160,7 @@ def shrink_step_function(f: StepFunction, still_failing, max_steps: int = 200) -
 
     steps = 0
     for candidates in (piece_drops, value_simplifications):
-        while steps < max_steps:
+        while steps < MAX_SHRINK_STEPS:
             better = next((c for c in candidates(f) if still_failing(c)), None)
             if better is None:
                 break

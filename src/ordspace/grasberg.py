@@ -19,7 +19,6 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm
-from operator import attrgetter
 
 from .ordinal import (
     ONE,
@@ -36,6 +35,7 @@ from .topology import (
     Atom,
     ClosedSet,
     Singleton,
+    _field,
     cb_index,
     clip_atom,
     iterated_derivative,
@@ -74,18 +74,20 @@ def level_sets(space: ClosedSet) -> tuple[ClosedSet, ...]:
 # ---- step functions ---------------------------------------------------------
 
 
-class StepFunction:
+class StepFunction(namedtuple("StepFunction", "ambient breakpoints nums den")):
     """A function on [0, ambient] constant on finitely many clopen pieces.
 
     breakpoints b0 < b1 < ... < bk = ambient cut the space into the pieces
     [0, b0], (b0, b1], ..., (b_{k-1}, bk]; values[i] = nums[i]/den is the value
     on piece i.  Every such piece is clopen in the order topology (a jump can
-    only sit at a successor), so the function is continuous.  The form is
-    canonical: adjacent equal values merged, den > 0, gcd(den, *nums) == 1.
-    This constructor validates its input; internal producers use _step.
+    only sit at a successor), so the function is continuous.  The tuple
+    (ambient, breakpoints, nums, den) is canonical: adjacent equal values
+    merged, den > 0, gcd(den, *nums) == 1; so tuple == is equality.  ``+``,
+    ``*``, ``<`` and ``in`` raise TypeError.  This constructor, which copy and
+    pickle go through, validates its input; internal producers use _step.
     """
 
-    __slots__ = ("ambient", "breakpoints", "nums", "den")
+    __slots__ = ()
 
     def __new__(cls, ambient: Ordinal, breakpoints: Sequence[Ordinal], values: Sequence[Rational]):
         if not breakpoints:
@@ -105,28 +107,20 @@ class StepFunction:
     def values(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.den) for x in self.nums)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("StepFunction is immutable")
+    def _no_operator(self, other):
+        raise TypeError("step functions have no operators: use step_add() and step_scale()")
+
+    __add__ = __mul__ = __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = _no_operator
+    __contains__ = None
 
     def __reduce__(self):
         return StepFunction, (self.ambient, self.breakpoints, self.values)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StepFunction):
-            return NotImplemented
-        return _fields(self) == _fields(other)
-
-    def __hash__(self) -> int:
-        return hash(_fields(self))
 
     def __repr__(self) -> str:
         body = ", ".join(
             f"(..{format_ordinal(b)}]={v}" for b, v in zip(self.breakpoints, self.values)
         )
         return f"StepFunction({body})"
-
-
-_fields = attrgetter(*StepFunction.__slots__)  # the canonical form, so == is equality
 
 
 def _step(ambient, breakpoints, nums, den) -> StepFunction:
@@ -144,12 +138,7 @@ def _step(ambient, breakpoints, nums, den) -> StepFunction:
     if g > 1:
         ns = [x // g for x in ns]
         den //= g
-    f = object.__new__(StepFunction)
-    object.__setattr__(f, "ambient", ambient)
-    object.__setattr__(f, "breakpoints", tuple(bps))
-    object.__setattr__(f, "nums", tuple(ns))
-    object.__setattr__(f, "den", den)
-    return f
+    return tuple.__new__(StepFunction, (ambient, tuple(bps), tuple(ns), den))
 
 
 def constant(ambient: Ordinal, value: Rational) -> StepFunction:
@@ -389,12 +378,6 @@ def step_function_to_json(f: StepFunction) -> dict:
 _RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
-def _field(data: dict, key: str, what: str):
-    if key not in data:
-        raise ValueError(f"{what} has no {key!r} field")
-    return data[key]
-
-
 def step_function_from_json(data: dict) -> StepFunction:
     """Decode the v1 step-function JSON; values must be rational strings."""
     if not isinstance(data, dict) or not isinstance(data.get("pieces"), list):
@@ -402,12 +385,10 @@ def step_function_from_json(data: dict) -> StepFunction:
     ambient = ordinal_from_json(_field(data, "ambient", "step function JSON"))
     bps, vals = [], []
     for piece in data["pieces"]:
-        if not isinstance(piece, dict):
-            raise ValueError("step function pieces must be objects")
-        value = _field(piece, "value", "step function piece")
+        value = _field(piece, "value", "step function pieces")
         if not (isinstance(value, str) and _RATIONAL.fullmatch(value)):
             raise ValueError(f"piece value must be a string like \"-3/4\", got {value!r}")
-        bps.append(ordinal_from_json(_field(piece, "upTo", "step function piece")))
+        bps.append(ordinal_from_json(_field(piece, "upTo", "step function pieces")))
         vals.append(Fraction(value))
     return StepFunction(ambient, bps, vals)
 

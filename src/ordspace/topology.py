@@ -111,43 +111,30 @@ def _stratum_contains(s: Stratum, g: Ordinal) -> bool:
     return s.lo < g <= s.hi and g[-1][0] >= s.mu
 
 
-def _atom_sort_key(atom: Atom):
-    if isinstance(atom, Singleton):
-        return (atom.point, atom.point, ZERO, 0)
-    return (atom.lo, atom.hi, atom.mu, 1)
-
-
-class ClosedSet:
-    """A closed subset of [0, ambient], normalized at construction.
+class ClosedSet(namedtuple("ClosedSet", "ambient atoms")):
+    """A closed subset of [0, ambient]: the pair (ambient, atoms), normalized at
+    construction, which copy and pickle go through.
 
     Normalization drops empty strata, merges same-level strata whose
     windows overlap or abut, drops atoms contained in another stratum,
     and rewrites one-point strata as singletons, so that equal
-    construction paths produce identical representations.
+    construction paths produce identical tuples.  ``in``, ``+``, ``*``
+    and ``<`` raise TypeError: membership goes through :func:`contains`.
     """
 
-    __slots__ = ("ambient", "atoms", "_hash")
+    __slots__ = ()
 
-    def __init__(self, ambient: Ordinal, atoms: Iterable[Atom] = ()):
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "atoms", _normalize(ambient, atoms))
-        object.__setattr__(self, "_hash", None)
+    def __new__(cls, ambient: Ordinal, atoms: Iterable[Atom] = ()):
+        return tuple.__new__(cls, (ambient, _normalize(ambient, atoms)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ClosedSet is immutable")
+    def _no_operator(self, other):
+        raise TypeError("closed sets have no operators: use contains() for membership")
+
+    __add__ = __mul__ = __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = _no_operator
+    __contains__ = None
 
     def __reduce__(self):
         return ClosedSet, (self.ambient, self.atoms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ClosedSet):
-            return NotImplemented
-        return self.ambient == other.ambient and self.atoms == other.atoms
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.ambient, self.atoms)))
-        return self._hash
 
     def __repr__(self) -> str:
         return f"ClosedSet(ambient={format_ordinal(self.ambient)}, {format_closed_set(self)})"
@@ -209,7 +196,7 @@ def _normalize(ambient: Ordinal, atoms: Iterable[Atom]) -> tuple[Atom, ...]:
     points = [p for p in singles if not any(_stratum_contains(s, p) for s in final_strata)]
     result: list[Atom] = [Singleton(p) for p in points]
     result.extend(final_strata)
-    result.sort(key=_atom_sort_key)
+    result.sort()  # tuple order: by point or lo, {p} before a stratum (p, hi], then hi and mu
     return tuple(result)
 
 
@@ -321,18 +308,22 @@ def to_json(space: ClosedSet) -> dict:
     return {"ambient": ordinal_to_json(space.ambient), "atoms": atoms}
 
 
+def _field(data: dict, key: str, what: str):
+    if not isinstance(data, dict) or key not in data:
+        raise ValueError(f"{what}: expected an object with the field {key!r}")
+    return data[key]
+
+
 def from_json(data: dict) -> ClosedSet:
-    ambient = ordinal_from_json(data["ambient"])
+    """Decode the v1 closed-set JSON; malformed input raises ValueError."""
+    if not isinstance(data, dict) or not isinstance(data.get("atoms"), list):
+        raise ValueError("closed set JSON must be an object with an atoms array")
+    ambient = ordinal_from_json(_field(data, "ambient", "closed set JSON"))
     atoms: list[Atom] = []
     for item in data["atoms"]:
-        if "singleton" in item:
+        if isinstance(item, dict) and "singleton" in item:
             atoms.append(Singleton(ordinal_from_json(item["singleton"])))
         else:
-            atoms.append(
-                Stratum(
-                    ordinal_from_json(item["lo"]),
-                    ordinal_from_json(item["hi"]),
-                    ordinal_from_json(item["mu"]),
-                )
-            )
+            fields = (_field(item, key, "closed set atoms") for key in ("lo", "hi", "mu"))
+            atoms.append(Stratum(*map(ordinal_from_json, fields)))
     return ClosedSet(ambient, atoms)

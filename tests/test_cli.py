@@ -572,7 +572,7 @@ def test_shrink_keeps_failing_input_without_improvement():
 def test_shrink_halves_only_down_to_the_input_denominators():
     """Only zeroing a value makes this input pass, so every halving still
     fails: 4/5 halves to 2/5 and 1/5, which reaches the input's largest
-    denominator, and stops there instead of after max_steps halvings."""
+    denominator, and stops there instead of after MAX_SHRINK_STEPS halvings."""
     start = StepFunction(OMEGA, (from_int(3), OMEGA), (Fraction(-1, 2), Fraction(4, 5)))
     got = shrink_step_function(start, lambda f: any(f.values))
     assert got == StepFunction(OMEGA, (OMEGA,), (Fraction(1, 5),))

@@ -1,5 +1,6 @@
 """Tests for norm parameters, step functions, critical sets, and the two lemma checkers."""
 
+import copy
 import hashlib
 import json
 import pickle
@@ -415,6 +416,20 @@ def test_step_functions_have_one_canonical_form(space, seed_a, seed_b, c, m):
             assert other == h and hash(other) == hash(h)
             assert (other.breakpoints, other.nums, other.den) == (h.breakpoints, h.nums, h.den)
         assert (step_scale(h, Fraction(1, 2)) == h) == (not any(h.nums))  # den counts in ==
+
+
+def test_copy_and_pickle_rebuild_through_the_validating_constructor():
+    # round trips: tests/test_trees.py::test_immutable_types_copy_and_pickle
+    forged = tuple.__new__(StepFunction, (OMEGA, (from_int(3),), (1,), 1))  # stops short of w
+    with pytest.raises(ValueError):
+        copy.copy(forged)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        with pytest.raises(ValueError):
+            pickle.loads(pickle.dumps(forged, protocol))
+    valid = StepFunction(OMEGA, (from_int(3), OMEGA), (Fraction(-1, 2), Fraction(4, 5)))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(valid, protocol))
+        assert back == valid and type(back) is StepFunction and back.nums == (-5, 8)
 
 
 def test_step_add_rejects_ambient_mismatch():

@@ -1,5 +1,7 @@
 """Tests for the closed-set algebra and Cantor-Bendixson computations."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -507,3 +509,34 @@ def test_json_shape():
 @given(closed_sets)
 def test_json_round_trip(s):
     assert from_json(to_json(s)) == s
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({}, "atoms"),
+        ({"atoms": []}, "ambient"),
+        ({"ambient": [], "atoms": [{"lo": []}]}, "hi"),
+        ({"ambient": [], "atoms": 5}, "atoms"),
+        ({"ambient": [], "atoms": [7]}, "atoms: expected an object"),
+        ([], "object"),
+    ],
+)
+def test_json_decoder_names_the_malformed_field(data, field):
+    with pytest.raises(ValueError, match=field):
+        from_json(data)
+
+
+def test_copy_and_pickle_rebuild_through_the_normalizing_constructor():
+    # round trips: tests/test_trees.py::test_immutable_types_copy_and_pickle
+    forged = tuple.__new__(ClosedSet, (ONE, (Singleton(OMEGA),)))  # a point outside [0, 1]
+    with pytest.raises(ValueError):
+        copy.copy(forged)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        with pytest.raises(ValueError):
+            pickle.loads(pickle.dumps(forged, protocol))
+    atoms = (Singleton(from_int(3)), Stratum(OMEGA, parse("w^(2)"), ONE))
+    valid = ClosedSet(parse("w^(2)+5"), atoms)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(valid, protocol))
+        assert back == valid and type(back) is ClosedSet and type(back.atoms[0]) is Singleton

@@ -336,16 +336,28 @@ def test_json_round_trip():
 
 def test_immutable_types_copy_and_pickle():
     space = interval(parse("w^(2)*2+3"))
+    f = random_step_function(space, 7)
     values = [
         parse("w^(w+1)*3+w+5"),
         space,
-        random_step_function(space, 7),
+        f,
         FiniteTree({"a": None, 1: "a", 2: 1}),
     ]
     for value in values:
         for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert type(twin) is type(value)
             assert twin == value and hash(twin) == hash(value)
+        if isinstance(value, tuple):
+            assert hash(value) == hash(tuple(value))
+    # closed sets and step functions are tuples, yet do not join, repeat, order or contain
+    for value, hint in ((space, "contains"), (f, "step_add")):
+        with pytest.raises(AttributeError):
+            value.ambient = ZERO
+        for op in (lambda x: x + x, lambda x: x * 2, lambda x: 2 * x, lambda x: x < x):
+            with pytest.raises(TypeError, match=hint):
+                op(value)
+        with pytest.raises(TypeError, match="not a container"):
+            ZERO in value
 
 
 # --- weakly-null families --------------------------------------------------------
