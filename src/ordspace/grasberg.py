@@ -36,6 +36,7 @@ from .topology import (
     ClosedSet,
     Singleton,
     _field,
+    _unvalidated,
     cb_index,
     clip_atom,
     iterated_derivative,
@@ -112,6 +113,7 @@ class StepFunction(namedtuple("StepFunction", "ambient breakpoints nums den")):
 
     __add__ = __mul__ = __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = _no_operator
     __contains__ = None
+    _replace = _make = _unvalidated
 
     def __reduce__(self):
         return StepFunction, (self.ambient, self.breakpoints, self.values)

@@ -331,7 +331,10 @@ class _Parser:
         digits = self.text[start : self.pos]
         if digits[0] == "0":
             raise ParseError("numbers may not start with 0", start)
-        return int(digits)
+        try:
+            return int(digits)
+        except ValueError:  # longer than Python's int-to-string limit
+            raise ParseError(f"number too long ({len(digits)} digits)", start) from None
 
 
 def format_ordinal(a: Ordinal) -> str:

@@ -34,6 +34,11 @@ class Singleton(namedtuple("Singleton", "point")):
     __slots__ = ()
 
 
+def _unvalidated(*args, **kwargs):
+    """namedtuple's _replace and _make, closed: they would skip the validating constructor."""
+    raise TypeError("_replace and _make skip validation: call the constructor")
+
+
 class Stratum(namedtuple("Stratum", "lo hi mu")):
     """Multiples of w^mu in the window (lo, hi]; requires lo < hi."""
 
@@ -43,6 +48,11 @@ class Stratum(namedtuple("Stratum", "lo hi mu")):
         if lo >= hi:
             raise ValueError("stratum window needs lo < hi")
         return tuple.__new__(cls, (lo, hi, mu))
+
+    _replace = _make = _unvalidated
+
+    def __reduce__(self):
+        return Stratum, tuple(self)
 
 
 Atom = Singleton | Stratum
@@ -132,6 +142,7 @@ class ClosedSet(namedtuple("ClosedSet", "ambient atoms")):
 
     __add__ = __mul__ = __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = _no_operator
     __contains__ = None
+    _replace = _make = _unvalidated
 
     def __reduce__(self):
         return ClosedSet, (self.ambient, self.atoms)

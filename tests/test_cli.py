@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import jsonschema
 import pytest
 
-from ordspace.cli import run, _color_enabled
+from ordspace.cli import MAX_PIECES, run, _color_enabled
 from ordspace.fuzz import shrink_step_function
 from ordspace.grasberg import StepFunction, constant, step_function_to_json, sup_on
 from ordspace.ordinal import OMEGA, from_int
@@ -176,8 +176,9 @@ FINITE_SPACE = "error: Grasberg parameters need an infinite space (cb index >= 2
         (["king", "--space", "0"], FINITE_SPACE),
         (["queen", "--space", "7"], FINITE_SPACE),
         (["king", "--space", "w", "--max-pieces", "0"], "error: max_pieces must be >= 1\n"),
+        (["king", "--space", "w", "--max-pieces", "100000000"], f"error: max_pieces must be <= {MAX_PIECES}\n"),
     ],
-    ids=["king-space-0", "queen-space-7", "max-pieces-0"],
+    ids=["king-space-0", "queen-space-7", "max-pieces-0", "max-pieces-above-cap"],
 )
 def test_check_rejects_bad_inputs_before_any_trial(argv, message):
     """Zero trials still validate the space and --max-pieces, as one trial does."""
@@ -442,6 +443,13 @@ def test_deeply_nested_notation_is_exit_2():
     code, out = cap(["cb", deep])
     assert code == 2
     assert one_line_error(out) and "nested deeper" in out and "position" in out
+
+
+def test_over_long_number_is_exit_2():
+    """Past Python's int-to-string limit a coefficient is a parse error at its first digit."""
+    code, out = cap(["ord", "eval", "w*" + "1" * 5000])
+    assert code == 2
+    assert one_line_error(out) and "position 2" in out
 
 
 @pytest.mark.parametrize("depth", [150, 3000])

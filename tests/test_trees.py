@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from ordspace.extract import family_from_table, marching_indicators, zero_family
 from ordspace.fuzz import random_step_function
-from ordspace.grasberg import constant, step_function_to_json, sup_on, value_at
+from ordspace.grasberg import StepFunction, constant, step_function_to_json, sup_on, value_at
 from ordspace.ordinal import OMEGA, ONE, ZERO, from_int, mul_nat, parse
-from ordspace.topology import interval
+from ordspace.topology import ClosedSet, Stratum, interval
 from ordspace.trees import (
     EMPTY_TREE,
     FactReport,
@@ -339,6 +339,7 @@ def test_immutable_types_copy_and_pickle():
     f = random_step_function(space, 7)
     values = [
         parse("w^(w+1)*3+w+5"),
+        Stratum(ZERO, OMEGA, ONE),
         space,
         f,
         FiniteTree({"a": None, 1: "a", 2: 1}),
@@ -358,6 +359,22 @@ def test_immutable_types_copy_and_pickle():
                 op(value)
         with pytest.raises(TypeError, match="not a container"):
             ZERO in value
+    # no door skips the validating constructors: _replace and _make refuse, pickle re-checks
+    forgeries = (
+        lambda: interval(OMEGA)._replace(ambient=ONE),
+        lambda: constant(OMEGA, 1)._replace(den=0),
+        lambda: Stratum(ZERO, ONE, ZERO)._replace(hi=ZERO),
+        lambda: Stratum._make((ONE, ZERO, ZERO)),
+        lambda: ClosedSet._make((ONE, interval(OMEGA).atoms)),
+        lambda: StepFunction._make((OMEGA, (OMEGA,), (1,), 0)),
+    )
+    for forge in forgeries:
+        with pytest.raises(TypeError, match="skip validation"):
+            forge()
+    forged = tuple.__new__(Stratum, (ONE, ZERO, ZERO))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        with pytest.raises(ValueError, match="lo < hi"):
+            pickle.loads(pickle.dumps(forged, protocol))
 
 
 # --- weakly-null families --------------------------------------------------------
