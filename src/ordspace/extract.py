@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .ordinal import ONE, Ordinal, format_ordinal, mul_nat
-from .topology import ClosedSet, cb_index
+from .topology import ClosedSet, Singleton, cb_index, roundup
 from .grasberg import (
     Rational,
     StepFunction,
@@ -48,7 +48,7 @@ class FamilyContractError(RuntimeError):
 
 
 class WeaklyNullFamily(
-    namedtuple("WeaklyNullFamily", "space at search_limit", defaults=(None,))
+    namedtuple("WeaklyNullFamily", "space at search_limit first_small", defaults=(None, None))
 ):
     """Step functions indexed by paths of child indices.
 
@@ -62,7 +62,12 @@ class WeaklyNullFamily(
 
     Fields: space, the closed set the family lives on; at, the map from a
     path (a tuple of child indices) to its step function; search_limit, an
-    optional cap on the child search.
+    optional cap on the child search; first_small, an optional
+    first_small(path, critical, threshold, budget) giving the least k < budget
+    whose child at(path + (k,)) is below threshold on critical, or None.  A
+    family that sets it lets extraction build only that child, instead of
+    probing children 0, 1, 2, ... in turn; it must name the same child the
+    probe loop would find.
     """
 
     __slots__ = ()
@@ -74,10 +79,16 @@ def marching_indicators(space: ClosedSet, step: Ordinal = ONE) -> WeaklyNullFami
     The window marches right as the child index k grows, so on any fixed
     finite point set the children are eventually zero.  Windows are clamped
     to the ambient interval; the path's last index alone decides the window.
+
+    Its first_small works from the atoms of the critical set, never listing
+    points: a point p lies in the window of child index(p) - 2, where index(p)
+    is the least j with step*j >= p, and an atom's points block one run of
+    consecutive children, from its least point's child to its greatest's.
     """
     if step.is_zero():
         raise ValueError("ladder step must be a positive ordinal")
     ambient = space.ambient
+    (e, c), r = step[0], step[1:]
 
     def clamp(x: Ordinal) -> Ordinal:
         return x if x <= ambient else ambient
@@ -88,7 +99,39 @@ def marching_indicators(space: ClosedSet, step: Ordinal = ONE) -> WeaklyNullFami
         k = path[-1]
         return indicator(ambient, clamp(mul_nat(step, k + 1)), clamp(mul_nat(step, k + 2)))
 
-    return WeaklyNullFamily(space=space, at=at)
+    def index(x: tuple) -> int | None:
+        """Least j >= 0 with step*j >= x, or None when x >= step*w.  With
+        step = w^e*c + r and x = w^ex*d + xt, step*j = w^e*(c*j) + r for j >= 1."""
+        if not x:
+            return 0
+        (ex, d), xt = x[0], x[1:]
+        if ex != e:
+            return 1 if ex < e else None
+        j = -(-d // c)
+        return j + 1 if c * j == d and r < xt else j
+
+    def first_small(path, critical: ClosedSet, threshold: Fraction, budget: int) -> int | None:
+        if threshold > 1:  # every child is 0 or 1, so every child is small
+            return 0 if budget else None
+        blocked = []  # per atom, the run of children whose windows meet it; last = budget: no end
+        for atom in critical.atoms:
+            if isinstance(atom, Singleton):
+                least = greatest = atom.point
+            else:  # the multiples of w^mu in (lo, hi]: least above lo, greatest hi's prefix
+                least = roundup(atom.lo, atom.mu)
+                greatest = tuple(term for term in atom.hi if term[0] >= atom.mu)
+            first = index(least)
+            if first is not None:
+                last = index(greatest)
+                blocked.append((first - 2, budget if last is None else last - 2))
+        k = 0
+        for first, last in sorted(blocked):
+            if first > k:
+                break
+            k = max(k, last + 1)
+        return k if k < budget else None
+
+    return WeaklyNullFamily(space=space, at=at, first_small=first_small)
 
 
 def zero_family(space: ClosedSet) -> WeaklyNullFamily:
@@ -152,6 +195,12 @@ def family_from_table(space: ClosedSet, table: dict) -> WeaklyNullFamily:
 
 class CertificateError(ValueError):
     """An extraction certificate failed re-verification."""
+
+
+# The stage loop keeps every path of its branch, so memory grows as n^2: on
+# [0, w^(5)] n = 8193 takes about 2.3 s and 280 MB, and each doubling of n
+# quadruples the memory.  A larger n is refused before any stage runs.
+MAX_STAGES = 8193
 
 
 def _leaves_unit_ball(f: StepFunction, space: ClosedSet) -> bool:
@@ -219,15 +268,21 @@ def _stages(space: ClosedSet, delta: Fraction, choose) -> ExtractionCertificate:
     chain of bounds in extract_small_combination is checked on exact values.
     """
     b = params(space).b
-    n = int(Fraction(2 ** (2 + b)) / delta) + 1
+    n = 2 ** (2 + b) * delta.denominator // delta.numerator + 1
+    if n > MAX_STAGES:
+        count = n if n.bit_length() <= 64 else f"about 2^{n.bit_length() - 1}"  # str(n) has a digit limit
+        raise CertificateError(
+            f"delta = {delta} with b = {b} needs n = {count} stages, above the limit of {MAX_STAGES}"
+        )
+    # (1+eps)^m with eps = 1/(2n) is the coprime pair (2n+1)^m / (2n)^m, kept as two ints
     eps = Fraction(1, 2 * n)
-    if (1 + eps) ** n >= 2:
+    if (2 * n + 1) ** n >= 2 * (2 * n) ** n:
         raise CertificateError("(1+eps)^n must stay below 2")
     threshold = eps / 2**b
     scale = Fraction(1, 2 ** (1 + b))
 
     running = constant(space.ambient, 0)
-    growth = Fraction(1)  # (1+eps)^m, as a running product
+    grow_num = grow_den = 1
     path: tuple[int, ...] = ()
     branch: list[tuple[int, ...]] = []
     blocks: list[StepFunction] = []
@@ -247,9 +302,10 @@ def _stages(space: ClosedSet, delta: Fraction, choose) -> ExtractionCertificate:
         path = step
         running = step_add(running, step_scale(block, scale))
         norm = grasberg_norm(running, space)
-        if norm > growth:
+        if norm.numerator * grow_den > grow_num * norm.denominator:
             raise CertificateError(f"stage bound fails at stage {m + 1}")
-        growth *= 1 + eps
+        grow_num *= 2 * n + 1
+        grow_den *= 2 * n
         branch.append(path)
         blocks.append(block)
         stage_norms.append(norm)
@@ -288,13 +344,16 @@ def extract_small_combination(
     norm below delta, by the exact chain
     |final| = (2^(1+b)/n)|g| <= 2^(1+b)(1+eps)^(n-1)/n < 2^(2+b)/n < delta.
 
-    A probe is one sup over the atoms of the critical set.  With a family
-    such as marching_indicators, where stage k settles after about k probes,
-    a run costs about n^2 probes.  Only when the probe budget runs out is a
-    witness point computed for the error: the first point of the critical set
-    where the last candidate is largest, found from the candidate's pieces
-    without listing points.  The certificate is built by the same stage loop
-    that verify(space) replays, which checks (1+eps)^n < 2 and every bound.
+    A probe is one sup over the atoms of the critical set.  A family with
+    first_small (marching_indicators) names the child in one search over
+    those atoms, and only that child is built, so a run costs n searches.
+    Without it, children 0, 1, 2, ... are probed in turn; where stage k
+    settles after about k probes, a run costs about n^2/2 probes.  Only when
+    the budget runs out is a witness point computed for the error: the first
+    point of the critical set where child budget - 1 is largest, found from
+    its pieces without listing points.  The certificate is built by the same
+    stage loop that verify(space) replays, which checks (1+eps)^n < 2 and
+    every bound, and refuses n above MAX_STAGES before its first stage.
     """
     if max_probes < 0:
         raise ValueError("max_probes must be >= 0")
@@ -314,8 +373,8 @@ def extract_small_combination(
     def probe(m, path, critical, threshold):
         if cb_index(critical) > ONE:
             raise AssertionError("critical set must be finite at finite height")
-        candidate = None
-        for k in range(budget):
+
+        def child(k):
             candidate = family.at(path + (k,))
             if candidate.ambient != space.ambient:
                 raise FamilyContractError(
@@ -323,8 +382,20 @@ def extract_small_combination(
                 )
             if _leaves_unit_ball(candidate, space):
                 raise FamilyContractError(path + (k,), None, "function exceeds the unit ball")
-            if _small_on(candidate, critical, threshold):
-                return path + (k,), candidate
+            return candidate
+
+        candidate = None
+        if family.first_small is None:
+            for k in range(budget):
+                candidate = child(k)
+                if _small_on(candidate, critical, threshold):
+                    return path + (k,), candidate
+        else:
+            k = family.first_small(path, critical, threshold, budget)
+            if k is not None:
+                return path + (k,), child(k)
+            if budget:
+                candidate = family.at(path + (budget - 1,))
         raise FamilyContractError(
             path,
             None if candidate is None else argmax_on(candidate, critical),

@@ -4,7 +4,10 @@ import contextlib
 import importlib.resources
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,7 +15,9 @@ from types import SimpleNamespace
 import jsonschema
 import pytest
 
+import ordspace
 from ordspace.cli import MAX_PIECES, run, _color_enabled
+from ordspace.extract import MAX_STAGES
 from ordspace.fuzz import shrink_step_function
 from ordspace.grasberg import StepFunction, constant, step_function_to_json, sup_on
 from ordspace.ordinal import OMEGA, from_int
@@ -450,6 +455,37 @@ def test_over_long_number_is_exit_2():
     code, out = cap(["ord", "eval", "w*" + "1" * 5000])
     assert code == 2
     assert one_line_error(out) and "position 2" in out
+
+
+SRC = str(Path(ordspace.__file__).resolve().parents[1])
+STAGE_LIMIT = f"stages, above the limit of {MAX_STAGES}\n"
+# (argv, exit code, end of the one stderr line): inputs whose work has no
+# useful bound, which are refused before any of it runs
+UNBOUNDED_INPUTS = [
+    (["extract", "--space", "w^(60)", "--delta", "1"], 1, "n = 4611686018427387905 " + STAGE_LIMIT),
+    (["extract", "--space", "w", "--delta", "1/100000000"], 1, "n = 800000001 " + STAGE_LIMIT),
+    (["extract", "--space", "w^(100000)", "--delta", "1"], 1, "n = about 2^100002 " + STAGE_LIMIT),
+    (["check", "king", "--space", "w", "--max-pieces", "100000000"], 1, f"max_pieces must be <= {MAX_PIECES}\n"),
+    (["ord", "eval", "w*" + "1" * 5000], 2, "number too long (5000 digits) at position 2\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    UNBOUNDED_INPUTS,
+    ids=["extract-tall-space", "extract-small-delta", "extract-huge-b", "check-many-pieces", "ord-long-number"],
+)
+def test_unbounded_input_is_refused_in_one_line(argv, code, message):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "ordspace.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=30,
+    )
+    assert (done.returncode, done.stdout) == (code, "")
+    assert one_line_error(done.stderr) and done.stderr.endswith(message)
 
 
 @pytest.mark.parametrize("depth", [150, 3000])

@@ -4,10 +4,12 @@ import dataclasses
 import hashlib
 import json
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import ordspace.extract
 import ordspace.fuzz
@@ -421,6 +423,111 @@ def test_extraction_never_lists_the_critical_set(monkeypatch):
         space = interval(parse(text))
         cert = extract_small_combination(space, marching_indicators(space), Fraction(delta))
         assert cert.verify(space)
+
+
+LADDER_STEPS = ["1", "2", "w", "w+1", "w^(2)*3"]
+PROBE_LIMIT = 96  # the reference loop's budget; the cases below find their child well inside it
+
+
+def first_small_by_probing(family, path, critical, threshold, budget):
+    """The generic probe loop's answer: the first k < budget whose child is small."""
+    return next(
+        (k for k in range(budget) if _small_on(family.at(path + (k,)), critical, threshold)),
+        None,
+    )
+
+
+def assert_first_small_agrees(family, path, critical, threshold):
+    """first_small matches the probe loop at PROBE_LIMIT, and at budgets 0, k and k + 1."""
+    k = first_small_by_probing(family, path, critical, threshold, PROBE_LIMIT)
+    assert family.first_small(path, critical, threshold, PROBE_LIMIT) == k
+    assert family.first_small(path, critical, threshold, 0) is None
+    if k is not None:
+        assert family.first_small(path, critical, threshold, k) is None
+        assert family.first_small(path, critical, threshold, k + 1) == k
+    return k
+
+
+@pytest.mark.parametrize("ladder", LADDER_STEPS)
+def test_first_small_agrees_with_the_probe_loop(ladder):
+    """On the critical sets of real stages, and on phi of random step functions,
+    at the stage threshold, at exactly 1 (an indicator is never below it) and above 1."""
+    rng = random.Random(LADDER_STEPS.index(ladder))
+    texts = ["w", "w*3+500", "w^(2)+w*5", "w^(3)", "w+10000"]
+    spaces = [interval(parse(text)) for text in texts]
+    spaces += [interval(add(OMEGA, random_ordinal(rng, parse("w^(3)*3+20")))) for _ in range(4)]
+    found = []
+    for space in spaces:
+        family = marching_indicators(space, step=parse(ladder))
+        stages = []
+
+        def recording(path, critical, threshold, budget):
+            stages.append((path, critical, threshold))
+            return family.first_small(path, critical, threshold, budget)
+
+        extract_small_combination(space, family._replace(first_small=recording), Fraction(1))
+        for seed in range(6):
+            f = random_step_function(space, rng.randrange(10**6), max_pieces=8)
+            stages.append(((seed,), phi(f, space, Fraction(seed % 3 + 1, 8)), Fraction(1, 130)))
+        for path, critical, threshold in stages:
+            found.append(assert_first_small_agrees(family, path, critical, threshold))
+        path, critical, _ = stages[-1]
+        assert assert_first_small_agrees(family, path, critical, Fraction(1)) == found[-1]
+        assert assert_first_small_agrees(family, path, critical, Fraction(3, 2)) == 0
+    # both kinds of answer are exercised: child 0 and a later child
+    assert 0 in found and any(k is not None and k > 0 for k in found)
+
+
+@given(st.sampled_from(LADDER_STEPS), closed_sets)
+def test_first_small_agrees_with_the_probe_loop_on_any_closed_set(ladder, critical):
+    family = marching_indicators(interval(critical.ambient), step=parse(ladder))
+    assert_first_small_agrees(family, (), critical, Fraction(1, 130))
+
+
+def black_box(family):
+    """The same children behind a bare at, so extraction falls back to probing."""
+    return WeaklyNullFamily(space=family.space, at=family.at)
+
+
+@pytest.mark.parametrize(
+    "text, ladder, delta",
+    [("w", "1", "1/2"), ("w^(2)*2", "w+1", "1/2"), ("w*3+500", "2", "1/4"), ("w+10000", "100", "1/2")],
+)
+def test_first_small_gives_the_probe_loops_certificate_and_errors(text, ladder, delta):
+    space = interval(parse(text))
+    family = marching_indicators(space, step=parse(ladder))
+    for budget in (0, 1, 3):
+        errors = []
+        for fam in (family, black_box(family)):
+            with pytest.raises(FamilyContractError) as info:
+                extract_small_combination(space, fam, Fraction(delta), max_probes=budget)
+            errors.append((info.value.path, info.value.point, str(info.value)))
+        assert errors[0] == errors[1]
+        assert (errors[0][1] is None) == (budget == 0)
+    fast = extract_small_combination(space, family, Fraction(delta))
+    assert fast == extract_small_combination(space, black_box(family), Fraction(delta))
+
+
+def test_first_small_builds_only_the_chosen_children():
+    space = interval(parse("w^(2)*2"))
+    family = marching_indicators(space)
+    calls = []
+
+    def counting_at(path):
+        calls.append(path)
+        return family.at(path)
+
+    cert = extract_small_combination(space, family._replace(at=counting_at), Fraction(1, 4))
+    assert calls == list(cert.branch) and len(calls) == cert.n == 65
+
+
+def test_stage_count_is_capped_before_any_stage(monkeypatch):
+    space = interval(OMEGA)
+    monkeypatch.setattr(ordspace.extract, "MAX_STAGES", 17)
+    assert extract_small_combination(space, marching_indicators(space), Fraction(1, 2)).n == 17
+    monkeypatch.setattr(ordspace.extract, "phi", None)  # a stage would call it
+    with pytest.raises(CertificateError, match=r"^delta = 1/3 with b = 1 needs n = 25 stages, above the limit of 17$"):
+        extract_small_combination(space, marching_indicators(space), Fraction(1, 3))
 
 
 def test_extraction_sandwich():
