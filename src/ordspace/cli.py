@@ -252,17 +252,14 @@ def _cmd_tree(args) -> int:
 
 def _cmd_extract(args) -> int:
     z, ladder = parse(args.space), parse(args.ladder)
-    from .extract import FamilyContractError, extract_small_combination
+    from .extract import extract_small_combination
     from .topology import interval
 
     space = interval(z)
     family = _load_family(space, args.family, ladder)
-    try:
-        certificate = extract_small_combination(
-            space, family, _fraction("--delta", args.delta), max_probes=args.budget
-        )
-    except FamilyContractError as exc:
-        raise ValueError(str(exc)) from None
+    certificate = extract_small_combination(
+        space, family, _fraction("--delta", args.delta), max_probes=args.budget
+    )
     text = (
         f"n={certificate.n} eps={certificate.eps}\n"
         f"branch={list(certificate.branch[-1])}\n"

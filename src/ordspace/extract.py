@@ -35,8 +35,8 @@ from .grasberg import (
 # ---- weakly null families ---------------------------------------------------
 
 
-class FamilyContractError(RuntimeError):
-    """A family failed its pointwise-null or norm-bound contract."""
+class FamilyContractError(ValueError):
+    """A family broke its contract: a bad child, a bad first_small answer, or no small child."""
 
     def __init__(self, path: tuple[int, ...], point, message: str):
         self.path = tuple(path)
@@ -64,10 +64,10 @@ class WeaklyNullFamily(
     path (a tuple of child indices) to its step function; search_limit, an
     optional cap on the child search; first_small, an optional
     first_small(path, critical, threshold, budget) giving the least k < budget
-    whose child at(path + (k,)) is below threshold on critical, or None.  A
-    family that sets it lets extraction build only that child, instead of
-    probing children 0, 1, 2, ... in turn; it must name the same child the
-    probe loop would find.
+    whose child at(path + (k,)) is below threshold on critical, or None.  It
+    stands in for extraction's probe loop, so it must name the child that loop
+    would find; an answer outside range(budget) is a FamilyContractError, and
+    a child that is not small fails the stage loop.
     """
 
     __slots__ = ()
@@ -194,7 +194,7 @@ def family_from_table(space: ClosedSet, table: dict) -> WeaklyNullFamily:
 
 
 class CertificateError(ValueError):
-    """An extraction certificate failed re-verification."""
+    """A rule of the stage loop failed; extraction raises it as well as verify."""
 
 
 # The stage loop keeps every path of its branch, so memory grows as n^2: on
@@ -240,14 +240,8 @@ class ExtractionCertificate:
         }
 
     def verify(self, space: ClosedSet) -> bool:
-        """Replay the stored branch and blocks through the stage loop, then
-        compare every field with the recomputed certificate; raise on any mismatch."""
-        if cb_index(space) <= ONE or not params(space).o.is_zero():
-            raise CertificateError("certificate requires an infinite space of finite height")
-        if not isinstance(self.delta, Fraction):
-            raise CertificateError("delta must be a Fraction")
-        if self.delta <= 0:
-            raise CertificateError("delta must be positive")
+        """Replay the stored branch and blocks through the stage loop, which checks
+        every rule, then compare every field with the recomputed certificate."""
 
         def replay(m, path, critical, threshold):
             if m >= len(self.branch) or len(self.branch) != len(self.blocks):
@@ -264,10 +258,18 @@ class ExtractionCertificate:
 def _stages(space: ClosedSet, delta: Fraction, choose) -> ExtractionCertificate:
     """The stage recurrence: building (extract_small_combination) and checking
     (ExtractionCertificate.verify) differ only in choose(m, path, critical,
-    threshold), which gives stage m's path and block.  Every link of the
-    chain of bounds in extract_small_combination is checked on exact values.
+    threshold), which gives stage m's path and block.  It owns every rule the
+    two share, from delta and the space to each exact link of the chain of bounds.
     """
-    b = params(space).b
+    if not isinstance(delta, Fraction):
+        raise CertificateError("delta must be a Fraction")
+    if delta <= 0:
+        raise CertificateError("delta must be positive")
+    p = params(space) if cb_index(space) > ONE else None
+    if p is None or not p.o.is_zero():
+        has = "is finite" if p is None else f"has o = {format_ordinal(p.o)}"
+        raise CertificateError(f"extraction requires an infinite space of finite height; this space {has}")
+    b = p.b
     n = 2 ** (2 + b) * delta.denominator // delta.numerator + 1
     if n > MAX_STAGES:
         count = n if n.bit_length() <= 64 else f"about 2^{n.bit_length() - 1}"  # str(n) has a digit limit
@@ -290,6 +292,8 @@ def _stages(space: ClosedSet, delta: Fraction, choose) -> ExtractionCertificate:
 
     for m in range(n):
         critical = phi(running, space, eps)
+        if cb_index(critical) > ONE:
+            raise CertificateError(f"critical set at stage {m + 1} is infinite")
         step, block = choose(m, path, critical, threshold)
         if len(step) != m + 1 or step[:m] != path:
             raise CertificateError("branch is not a chain of extending paths")
@@ -338,69 +342,50 @@ def extract_small_combination(
 
     At stage m the running sum g carries the previously chosen blocks with
     weight 1/2^(1+b); its critical set is finite (the king bound at finite
-    height, checked as cb_index <= 1 without listing the points), so children
-    of the current node are probed in index order until one is below eps/2^b
-    everywhere on it.  The average of the chosen blocks then has Grasberg
+    height, checked as cb_index <= 1 without listing the points), so the least
+    child of the current node that is below eps/2^b everywhere on it is
+    chosen.  The average of the chosen blocks then has Grasberg
     norm below delta, by the exact chain
     |final| = (2^(1+b)/n)|g| <= 2^(1+b)(1+eps)^(n-1)/n < 2^(2+b)/n < delta.
 
-    A probe is one sup over the atoms of the critical set.  A family with
-    first_small (marching_indicators) names the child in one search over
-    those atoms, and only that child is built, so a run costs n searches.
-    Without it, children 0, 1, 2, ... are probed in turn; where stage k
-    settles after about k probes, a run costs about n^2/2 probes.  Only when
-    the budget runs out is a witness point computed for the error: the first
-    point of the critical set where child budget - 1 is largest, found from
-    its pieces without listing points.  The certificate is built by the same
-    stage loop that verify(space) replays, which checks (1+eps)^n < 2 and
-    every bound, and refuses n above MAX_STAGES before its first stage.
+    Each stage asks one search for its child, the family's first_small or
+    else a probe loop over children 0, 1, 2, ... (one sup over the critical
+    set's atoms each, about n^2/2 probes a run); marching_indicators's
+    first_small makes a run n searches.  The chosen child is then built and
+    checked against the contract.  Only when the budget runs out is a witness
+    point computed: the first point of the critical set where child budget - 1
+    is largest, found from its pieces without listing points.  Here only
+    max_probes >= 0 and family.space == space are checked; every other rule
+    is the stage loop's, shared with verify, and raises CertificateError.
     """
     if max_probes < 0:
         raise ValueError("max_probes must be >= 0")
-    delta = Fraction(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     if family.space != space:
         raise ValueError("family is declared on a different space")
-    p = params(space)
-    if not p.o.is_zero():
-        raise ValueError(
-            "extraction supports only spaces of finite height "
-            f"(cb a finite successor); this space has o = {format_ordinal(p.o)}"
-        )
     budget = max_probes if family.search_limit is None else min(max_probes, family.search_limit)
 
+    def child(path):
+        candidate = family.at(path)
+        if candidate.ambient != space.ambient:
+            raise FamilyContractError(path, None, "function lives on a different ambient interval")
+        if _leaves_unit_ball(candidate, space):
+            raise FamilyContractError(path, None, "function exceeds the unit ball")
+        return candidate
+
+    def probing(path, critical, threshold, budget):
+        return next((k for k in range(budget) if _small_on(child(path + (k,)), critical, threshold)), None)
+
     def probe(m, path, critical, threshold):
-        if cb_index(critical) > ONE:
-            raise AssertionError("critical set must be finite at finite height")
+        k = (family.first_small or probing)(path, critical, threshold, budget)
+        if k is None:
+            raise FamilyContractError(
+                path,
+                argmax_on(family.at(path + (budget - 1,)), critical) if budget else None,
+                f"no child fell below {threshold} on the critical set "
+                f"within {budget} probes",
+            )
+        if type(k) is not int or not 0 <= k < budget:
+            raise FamilyContractError(path, None, f"first_small answered {k!r}, not a child index in [0, {budget})")
+        return path + (k,), child(path + (k,))
 
-        def child(k):
-            candidate = family.at(path + (k,))
-            if candidate.ambient != space.ambient:
-                raise FamilyContractError(
-                    path + (k,), None, "function lives on a different ambient interval"
-                )
-            if _leaves_unit_ball(candidate, space):
-                raise FamilyContractError(path + (k,), None, "function exceeds the unit ball")
-            return candidate
-
-        candidate = None
-        if family.first_small is None:
-            for k in range(budget):
-                candidate = child(k)
-                if _small_on(candidate, critical, threshold):
-                    return path + (k,), candidate
-        else:
-            k = family.first_small(path, critical, threshold, budget)
-            if k is not None:
-                return path + (k,), child(k)
-            if budget:
-                candidate = family.at(path + (budget - 1,))
-        raise FamilyContractError(
-            path,
-            None if candidate is None else argmax_on(candidate, critical),
-            f"no child fell below {threshold} on the critical set "
-            f"within {budget} probes",
-        )
-
-    return _stages(space, delta, probe)
+    return _stages(space, Fraction(delta), probe)

@@ -521,6 +521,38 @@ def test_first_small_builds_only_the_chosen_children():
     assert calls == list(cert.branch) and len(calls) == cert.n == 65
 
 
+@pytest.mark.parametrize("answer", [-1, 7, True], ids=["negative", "budget", "bool"])
+def test_a_first_small_answer_outside_the_budget_is_a_contract_error(answer):
+    space = interval(OMEGA)
+    lying = marching_indicators(space)._replace(first_small=lambda path, critical, threshold, budget: answer)
+    with pytest.raises(FamilyContractError) as info:
+        extract_small_combination(space, lying, Fraction(1, 2), max_probes=7)
+    assert (info.value.path, info.value.point) == ((), None)
+    assert str(info.value).endswith(f"node []: first_small answered {answer!r}, not a child index in [0, 7)")
+
+
+def test_a_first_small_answer_that_is_not_small_fails_the_stage_loop():
+    # stage 1's critical set, phi of the zero function, is empty, so every
+    # block 1 is small; child 0 of this family is 1 everywhere, so block 2 is not
+    space = interval(OMEGA)
+    lying = WeaklyNullFamily(space=space, at=lambda path: constant(OMEGA, 1), first_small=lambda *args: 0)
+    with pytest.raises(CertificateError, match="^block 2 is not small on the critical set$"):
+        extract_small_combination(space, lying, Fraction(1, 2))
+
+
+def test_the_stage_loop_refuses_an_infinite_critical_set(monkeypatch):
+    """Extraction and verify share the per-stage check that the critical set is finite."""
+    space = interval(OMEGA)
+    cert = extract_small_combination(space, marching_indicators(space), Fraction(1, 2))
+    monkeypatch.setattr(ordspace.extract, "phi", lambda f, space, eps: interval(space.ambient))
+    for run in (
+        lambda: extract_small_combination(space, marching_indicators(space), Fraction(1, 2)),
+        lambda: cert.verify(space),
+    ):
+        with pytest.raises(CertificateError, match=r"^critical set at stage 1 is infinite$"):
+            run()
+
+
 def test_stage_count_is_capped_before_any_stage(monkeypatch):
     space = interval(OMEGA)
     monkeypatch.setattr(ordspace.extract, "MAX_STAGES", 17)
@@ -607,16 +639,41 @@ def test_certificate_detects_tampering(changes, message):
         forged.verify(space)
 
 
+NOT_FINITE_HEIGHT = "extraction requires an infinite space of finite height; this space "
+# (id, space, delta, the one message that extraction and verify both give)
+DOMAIN_ERRORS = [
+    ("delta-zero", interval(OMEGA), Fraction(0), "delta must be positive"),
+    ("delta-negative", interval(OMEGA), Fraction(-1, 2), "delta must be positive"),
+    ("finite", interval(from_int(5)), Fraction(1, 2), NOT_FINITE_HEIGHT + "is finite"),
+    ("tall", interval(omega_pow(OMEGA)), Fraction(1, 2), NOT_FINITE_HEIGHT + "has o = 1"),
+    ("empty", ClosedSet(OMEGA, []), Fraction(1, 2), NOT_FINITE_HEIGHT + "is finite"),
+]
+
+
 @pytest.mark.parametrize(
-    "space",
-    [interval(from_int(5)), interval(omega_pow(OMEGA)), ClosedSet(OMEGA, [])],
-    ids=["finite", "tall", "empty"],
+    "space, delta, message", [row[1:] for row in DOMAIN_ERRORS], ids=[row[0] for row in DOMAIN_ERRORS]
 )
-def test_certificate_rejects_spaces_without_finite_height(space):
+def test_extraction_and_verify_refuse_a_domain_error_alike(space, delta, message):
     omega = interval(OMEGA)
     cert = extract_small_combination(omega, marching_indicators(omega), Fraction(1, 2))
-    with pytest.raises(CertificateError, match="requires an infinite space of finite height"):
-        cert.verify(space)
+    messages = []
+    for run in (
+        lambda: extract_small_combination(space, marching_indicators(space), delta),
+        lambda: dataclasses.replace(cert, delta=delta).verify(space),
+    ):
+        with pytest.raises(CertificateError) as info:
+            run()
+        messages.append(str(info.value))
+    assert messages == [message, message]
+
+
+def test_only_verify_refuses_a_float_delta():
+    """Extraction reads delta with Fraction; a certificate must store a Fraction."""
+    space = interval(OMEGA)
+    cert = extract_small_combination(space, marching_indicators(space), 0.5)
+    assert cert == extract_small_combination(space, marching_indicators(space), Fraction(1, 2))
+    with pytest.raises(CertificateError, match="^delta must be a Fraction$"):
+        dataclasses.replace(cert, delta=0.5).verify(space)
 
 
 def test_extraction_applies_the_stage_bound(monkeypatch):
