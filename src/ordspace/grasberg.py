@@ -264,33 +264,52 @@ def grasberg_norm(f: StepFunction, space: ClosedSet) -> Fraction:
     return Fraction(_norm_num(f, space), f.den)
 
 
+# (f, space, eps, (critical, norm)) of the last build: one entry of immutable
+# values, read and replaced whole, so a concurrent caller can at worst miss it
+_last_phi = None
+
+
 def _phi(f: StepFunction, space: ClosedSet, eps: Rational) -> tuple[ClosedSet, Fraction]:
-    """phi(f, space, eps) and the norm |f| it computed."""
+    """phi(f, space, eps) and the norm |f| it computed.
+
+    Each piece is clipped only at its first hot level k, the least n with
+    2^(n+1)|v| > |f| + eps: a point of level m in it gives 2^m|v| <= |f| <
+    2^(k+1)|v|, so m <= k and every later clip is empty.  The last answer is
+    kept as one entry: a call with the same f and space objects (``is``) and
+    an equal eps returns it, and a call that raises keeps nothing."""
+    global _last_phi
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
+    last = _last_phi
+    if last is not None and last[0] is f and last[1] is space and last[2] == eps:
+        return last[3]
     norm = _norm_num(f, space)
-    # |x|/den > (norm/den + en/ed) / 2^(n+1)  <=>  |x|*ed * 2^(n+1) > norm*ed + en*den
+    # |x|/den > (norm/den + en/ed) / 2^(n+1)  <=>  |x|*ed * 2^(n+1) > norm*ed + en*den,
+    # first true at n + 1 = max(1, (cut // (|x|*ed)).bit_length()); never for x = 0
     cut = norm * eps.denominator + eps.numerator * f.den
-    sides = [abs(x) * eps.denominator for x in f.nums]
+    sides = (abs(x) * eps.denominator for x in f.nums)
+    first_hot = [max((cut // a).bit_length() - 1, 0) if a else -1 for a in sides]
     bps, atoms = f.breakpoints, []
     for n, level in enumerate(level_sets(space)):
-        hot = [a << (n + 1) > cut for a in sides]
         for atom in level.atoms:
             for i in _pieces_of(f, atom):
-                if hot[i]:
+                if first_hot[i] == n:
                     clipped = clip_atom(atom, bps[i - 1] if i else None, bps[i])
                     if clipped is not None:
                         atoms.append(clipped)
-    return ClosedSet(space.ambient, atoms), Fraction(norm, f.den)
+    result = ClosedSet(space.ambient, atoms), Fraction(norm, f.den)
+    _last_phi = (f, space, eps, result)
+    return result
 
 
 def phi(f: StepFunction, space: ClosedSet, eps: Rational) -> ClosedSet:
     """The critical set: at each level n, the points where 2^(n+1)|f| > |f| + eps.
 
     Costs, per level, about atoms * log(pieces) comparisons to find each
-    atom's pieces, plus a clip for each critical piece an atom covers.  The
-    threshold is tested on integers, with no Fraction per piece."""
+    atom's pieces, plus a clip for each piece whose first hot level is n.
+    The threshold is tested on integers, with no Fraction per piece.  A
+    repeat with the same f and space objects and an equal eps is free (_phi)."""
     return _phi(f, space, eps)[0]
 
 

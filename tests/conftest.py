@@ -189,3 +189,18 @@ def spaces():
         interval(omega_pow(from_int(2))),
         interval(omega_pow(OMEGA)),
     ]
+
+
+@pytest.fixture
+def phi_builds(monkeypatch):
+    """The critical sets built so far: each build makes one grasberg.ClosedSet."""
+    import ordspace.grasberg
+
+    builds = []
+
+    def counting(*args):
+        builds.append(args)
+        return ClosedSet(*args)
+
+    monkeypatch.setattr(ordspace.grasberg, "ClosedSet", counting)
+    return builds

@@ -240,6 +240,13 @@ def test_check_deterministic():
     assert cap(argv) == cap(argv)
 
 
+def test_check_queen_builds_one_critical_set_per_trial(phi_builds):
+    """The trial's scaling step and check_queen share one phi(f, space, eps)."""
+    argv = ["check", "queen", "--space", "w^(2)", "--trials", "30", "--seed", "4"]
+    assert cap(argv) == (0, "30/30 pass\n")
+    assert len(phi_builds) == 30
+
+
 # --- tree ------------------------------------------------------------------------
 
 

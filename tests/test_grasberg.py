@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ordspace.grasberg import (
@@ -749,7 +749,21 @@ def test_phi_monotone_in_eps():
                 assert contains(small, point)
 
 
-@pytest.mark.parametrize("space", SPACES + [interval(parse("w^(3)"))], ids=["w", "w2", "ww", "w3"])
+# {0}, every point of (0, w^2+w], and the multiples of w in (w^2+w, w^2*2]:
+# strata at two levels, so pieces meet atoms of different heights
+MIXED_LEVELS = ClosedSet(
+    mul_nat(OMEGA_SQ, 2),
+    [
+        Singleton(ZERO),
+        Stratum(ZERO, add(OMEGA_SQ, OMEGA), ZERO),
+        Stratum(add(OMEGA_SQ, OMEGA), mul_nat(OMEGA_SQ, 2), ONE),
+    ],
+)
+
+
+@pytest.mark.parametrize(
+    "space", SPACES + [interval(parse("w^(3)")), MIXED_LEVELS], ids=["w", "w2", "ww", "w3", "mixed"]
+)
 def test_phi_integer_threshold_matches_the_fraction_rule(space):
     """reference_phi tests 2^(n+1)|v| > |f| + eps on Fractions; include its ties."""
     levels = len(level_sets(space))
@@ -766,6 +780,65 @@ def test_phi_integer_threshold_matches_the_fraction_rule(space):
             want = reference_phi(f, space, eps)
             assert got == want and repr(got.atoms) == repr(want.atoms)
     assert ties >= 60  # the tie case is exercised, not just possible
+
+
+def assert_phi_matches_reference(f, space, eps):
+    got, want = phi(f, space, eps), reference_phi(f, space, eps)
+    assert got == want and repr(got.atoms) == repr(want.atoms)
+
+
+@given(
+    closed_sets,
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from([Fraction(1, 8), Fraction(1, 2), Fraction(7, 6), Fraction(3)]),
+)
+def test_phi_matches_the_every_level_reference_on_any_closed_set(space, seed, max_pieces, eps):
+    """reference_phi clips each critical piece at every level; phi only at its first hot one."""
+    assume(cb_index(space) > ONE)
+    f = random_step_function(space, seed, max_pieces, value_range=(-3, Fraction(5, 2)))
+    assert_phi_matches_reference(f, space, eps)
+
+
+def test_king_phi_and_queen_on_one_trial_build_one_critical_set(phi_builds):
+    space = interval(OMEGA_SQ)
+    f = random_step_function(space, 7, max_pieces=12)
+    g = random_step_function(space, 8, max_pieces=12, value_range=(Fraction(-1, 50), Fraction(1, 50)))
+    eps = Fraction(1, 3)
+    king = check_king(f, space, eps)
+    assert phi(f, space, "1/3") is king.phi
+    check_queen(f, g, space, eps)
+    assert len(phi_builds) == 1
+    assert king.phi == reference_phi(f, space, eps)
+
+
+def test_the_phi_memo_answers_only_the_same_objects_and_eps(phi_builds):
+    space = interval(OMEGA_SQ)
+    f = random_step_function(space, 3, max_pieces=12)
+    eps = Fraction(1, 4)
+    phi(f, space, eps)
+    twin = StepFunction(f.ambient, f.breakpoints, f.values)  # equal, not the same object
+    other_space = ClosedSet(space.ambient, space.atoms)
+    calls = [(twin, space, eps), (f, other_space, eps), (f, space, Fraction(3, 4)), (f, space, eps)]
+    for k, (h, s, e) in enumerate(calls, start=2):
+        assert_phi_matches_reference(h, s, e)
+        assert len(phi_builds) == k
+
+
+def test_a_phi_call_that_raises_leaves_no_stale_answer(phi_builds):
+    space, narrow = interval(OMEGA_SQ), interval(OMEGA)
+    f = random_step_function(space, 5, max_pieces=12)
+    g = random_step_function(narrow, 5, max_pieces=12)
+    assert_phi_matches_reference(f, space, Fraction(1, 2))
+    with pytest.raises(ValueError, match="eps must be positive"):
+        phi(f, space, 0)
+    with pytest.raises(ValueError, match="different ambient"):
+        phi(f, narrow, Fraction(1, 2))
+    assert_phi_matches_reference(g, narrow, Fraction(1, 2))
+    with pytest.raises(ValueError, match="different ambient"):
+        phi(g, space, Fraction(1, 2))
+    assert_phi_matches_reference(f, space, Fraction(1, 2))
+    assert len(phi_builds) == 3
 
 
 def test_everything_stays_rational():
