@@ -11,23 +11,23 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import reduce
 
 from .ordinal import ONE, Ordinal, format_ordinal, mul_nat
 from .topology import ClosedSet, Singleton, cb_index, roundup
 from .grasberg import (
     Rational,
     StepFunction,
+    _phi,
     _sup_num,
     argmax_on,
     constant,
     grasberg_norm,
     indicator,
     params,
-    phi,
     step_add,
     step_function_from_json,
     step_scale,
+    step_sum,
     sup_on,
 )
 
@@ -198,8 +198,9 @@ class CertificateError(ValueError):
 
 
 # The stage loop keeps every path of its branch, so memory grows as n^2: on
-# [0, w^(5)] n = 8193 takes about 2.3 s and 280 MB, and each doubling of n
-# quadruples the memory.  A larger n is refused before any stage runs.
+# [0, w^(5)] n = 8193 takes about 1.8-2.1 s of CPU and 277 MB (in process,
+# Python 3.11, a 2-vCPU host), and each doubling of n quadruples the memory.
+# A larger n is refused before any stage runs.
 MAX_STAGES = 8193
 
 
@@ -260,6 +261,11 @@ def _stages(space: ClosedSet, delta: Fraction, choose) -> ExtractionCertificate:
     (ExtractionCertificate.verify) differ only in choose(m, path, critical,
     threshold), which gives stage m's path and block.  It owns every rule the
     two share, from delta and the space to each exact link of the chain of bounds.
+
+    One _phi per running sum gives both its norm, which the stage bound reads,
+    and the next stage's critical set; after the last stage only the norm is
+    taken.  So n stages take n + 2 norms, the final one included, and the
+    blocks are summed by one step_sum.
     """
     if not isinstance(delta, Fraction):
         raise CertificateError("delta must be a Fraction")
@@ -284,6 +290,7 @@ def _stages(space: ClosedSet, delta: Fraction, choose) -> ExtractionCertificate:
     scale = Fraction(1, 2 ** (1 + b))
 
     running = constant(space.ambient, 0)
+    critical = _phi(running, space, eps)[0]
     grow_num = grow_den = 1
     path: tuple[int, ...] = ()
     branch: list[tuple[int, ...]] = []
@@ -291,7 +298,6 @@ def _stages(space: ClosedSet, delta: Fraction, choose) -> ExtractionCertificate:
     stage_norms: list[Fraction] = []
 
     for m in range(n):
-        critical = phi(running, space, eps)
         if cb_index(critical) > ONE:
             raise CertificateError(f"critical set at stage {m + 1} is infinite")
         step, block = choose(m, path, critical, threshold)
@@ -305,7 +311,10 @@ def _stages(space: ClosedSet, delta: Fraction, choose) -> ExtractionCertificate:
             raise CertificateError(f"block {m + 1} is not small on the critical set")
         path = step
         running = step_add(running, step_scale(block, scale))
-        norm = grasberg_norm(running, space)
+        if m + 1 < n:
+            critical, norm = _phi(running, space, eps)
+        else:
+            norm = grasberg_norm(running, space)
         if norm.numerator * grow_den > grow_num * norm.denominator:
             raise CertificateError(f"stage bound fails at stage {m + 1}")
         grow_num *= 2 * n + 1
@@ -314,7 +323,7 @@ def _stages(space: ClosedSet, delta: Fraction, choose) -> ExtractionCertificate:
         blocks.append(block)
         stage_norms.append(norm)
 
-    final = step_scale(reduce(step_add, blocks), Fraction(1, n))
+    final = step_scale(step_sum(blocks), Fraction(1, n))
     final_norm = grasberg_norm(final, space)
     if final_norm != Fraction(2 ** (1 + b), n) * stage_norms[-1]:
         raise CertificateError("homogeneity identity fails")

@@ -18,12 +18,12 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import accumulate
 from math import gcd, lcm
 
 from .ordinal import (
     ONE,
     Ordinal,
-    compare,
     format_ordinal,
     from_json as ordinal_from_json,
     mul_nat,
@@ -178,14 +178,42 @@ def step_add(f: StepFunction, g: StepFunction) -> StepFunction:
     bps, nums = [], []
     i = j = 0
     while i < len(fb):
-        c = compare(fb[i], gb[j])
-        bps.append(fb[i] if c <= 0 else gb[j])
+        x, y = fb[i], gb[j]
         nums.append(fn[i] * fs + gn[j] * gs)
-        if c <= 0:
+        if x == y:
             i += 1
-        if c >= 0:
             j += 1
+        elif x < y:
+            i += 1
+        else:
+            x = y
+            j += 1
+        bps.append(x)
     return _step(f.ambient, bps, nums, den)
+
+
+def step_sum(fs: Sequence[StepFunction]) -> StepFunction:
+    """Pointwise sum of one or more step functions on one ambient, on numerators
+    over the lcm of their denominators, with one sort of their cut points and
+    one _step.  Each function adds its value on [0, b0] to the first piece and
+    its jump just above each of its cuts to that cut; a running total over the
+    sorted cuts gives the pieces.  For two functions step_add's merge is faster."""
+    if not fs:
+        raise ValueError("step_sum needs at least one step function")
+    ambient = fs[0].ambient
+    den = reduce(lcm, (f.den for f in fs), 1)
+    first, jumps = 0, {}
+    for f in fs:
+        if f.ambient != ambient:
+            raise ValueError("step functions live on different ambient intervals")
+        scale, nums = den // f.den, f.nums
+        first += nums[0] * scale
+        for bp, x, y in zip(f.breakpoints, nums, nums[1:]):
+            jumps[bp] = jumps.get(bp, 0) + (y - x) * scale
+    cuts = sorted(jumps)
+    nums = list(accumulate(map(jumps.__getitem__, cuts), initial=first))
+    cuts.append(ambient)
+    return _step(ambient, cuts, nums, den)
 
 
 def step_scale(f: StepFunction, c: Rational) -> StepFunction:
@@ -194,12 +222,14 @@ def step_scale(f: StepFunction, c: Rational) -> StepFunction:
 
 
 def step_convex(coeffs: Sequence[Rational], fs: Sequence[StepFunction]) -> StepFunction:
+    """sum of coeffs[i] * fs[i] for non-negative coefficients that sum to 1, scaled
+    one by one and added in one step_sum."""
     coeffs = [Fraction(c) for c in coeffs]
     if len(coeffs) != len(fs):
         raise ValueError("one coefficient per function required")
     if any(c < 0 for c in coeffs) or sum(coeffs, Fraction(0)) != 1:
         raise ValueError("coefficients must be non-negative and sum to 1")
-    return reduce(step_add, (step_scale(f, c) for c, f in zip(coeffs, fs)))
+    return step_sum([step_scale(f, c) for c, f in zip(coeffs, fs)])
 
 
 # ---- sup and norm -----------------------------------------------------------
@@ -217,19 +247,33 @@ def _pieces_of(f: StepFunction, atom: Atom) -> range:
     return range(bisect_right(bps, atom.lo), bisect_left(bps, atom.hi) + 1)
 
 
-def _sup_num(f: StepFunction, space: ClosedSet) -> int:
-    """Max of |num| over the pieces of f that meet the set, so the sup of |f| there
-    is this over den; 0 on the empty set.  Costs about atoms * log(pieces)
-    comparisons, plus a clip for each piece an atom covers whose |num| beats the best."""
+def _sup_num(f: StepFunction, space: ClosedSet, floor: int = 0) -> int:
+    """Max of floor and |num| over the pieces of f that meet the set, so with
+    floor 0 the sup of |f| there is this over den, and 0 on the empty set.
+
+    Costs about atoms * log(pieces) comparisons.  A singleton's point lies in
+    the piece bisect_left gives, and every piece that meets a mu = 0 stratum
+    holds a point of it, since every ordinal is a multiple of w^0.  Only a
+    stratum with mu > 0 clips, and only the pieces whose |num| beats the best
+    so far, which starts at floor."""
     if f.ambient != space.ambient:
         raise ValueError("function and set live on different ambient intervals")
     bps, nums = f.breakpoints, f.nums
-    best = 0
+    best = floor
     for atom in space.atoms:
-        for i in _pieces_of(f, atom):
-            x = abs(nums[i])
-            if x > best and clip_atom(atom, bps[i - 1] if i else None, bps[i], least=True) is not None:
-                best = x
+        if isinstance(atom, Singleton):
+            x = abs(nums[bisect_left(bps, atom.point)])
+        elif atom.mu.is_zero():
+            pieces = _pieces_of(f, atom)
+            x = max(map(abs, nums[pieces.start : pieces.stop]))
+        else:
+            for i in _pieces_of(f, atom):
+                x = abs(nums[i])
+                if x > best and clip_atom(atom, bps[i - 1] if i else None, bps[i], least=True) is not None:
+                    best = x
+            continue
+        if x > best:
+            best = x
     return best
 
 
@@ -256,7 +300,15 @@ def argmax_on(f: StepFunction, space: ClosedSet) -> Ordinal | None:
 
 
 def _norm_num(f: StepFunction, space: ClosedSet) -> int:
-    return max(_sup_num(f, level) << n for n, level in enumerate(level_sets(space)))
+    """The norm of f over den: max over n of 2^n * _sup_num(f, level n).  The
+    levels are walked from b down to 0, each with the best so far as its floor:
+    2^n * x beats best exactly when x > best >> n, so a lower level clips only
+    the pieces that could still win."""
+    levels = level_sets(space)
+    best = 0
+    for n in range(len(levels) - 1, -1, -1):
+        best = max(best, _sup_num(f, levels[n], best >> n) << n)
+    return best
 
 
 def grasberg_norm(f: StepFunction, space: ClosedSet) -> Fraction:
@@ -270,11 +322,14 @@ _last_phi = None
 
 
 def _phi(f: StepFunction, space: ClosedSet, eps: Rational) -> tuple[ClosedSet, Fraction]:
-    """phi(f, space, eps) and the norm |f| it computed.
+    """phi(f, space, eps) and the norm |f| that it needs, from one _norm_num:
+    check_queen and each stage of extraction read both, so a function's
+    critical set and norm cost b+1 level sups, not 2(b+1).
 
     Each piece is clipped only at its first hot level k, the least n with
     2^(n+1)|v| > |f| + eps: a point of level m in it gives 2^m|v| <= |f| <
-    2^(k+1)|v|, so m <= k and every later clip is empty.  The last answer is
+    2^(k+1)|v|, so m <= k and every later clip is empty; the levels above the
+    highest first hot level are not scanned.  The last answer is
     kept as one entry: a call with the same f and space objects (``is``) and
     an equal eps returns it, and a call that raises keeps nothing."""
     global _last_phi
@@ -287,11 +342,11 @@ def _phi(f: StepFunction, space: ClosedSet, eps: Rational) -> tuple[ClosedSet, F
     norm = _norm_num(f, space)
     # |x|/den > (norm/den + en/ed) / 2^(n+1)  <=>  |x|*ed * 2^(n+1) > norm*ed + en*den,
     # first true at n + 1 = max(1, (cut // (|x|*ed)).bit_length()); never for x = 0
-    cut = norm * eps.denominator + eps.numerator * f.den
-    sides = (abs(x) * eps.denominator for x in f.nums)
-    first_hot = [max((cut // a).bit_length() - 1, 0) if a else -1 for a in sides]
+    ed = eps.denominator
+    cut = norm * ed + eps.numerator * f.den
+    first_hot = [max((cut // (abs(x) * ed)).bit_length() - 1, 0) if x else -1 for x in f.nums]
     bps, atoms = f.breakpoints, []
-    for n, level in enumerate(level_sets(space)):
+    for n, level in enumerate(level_sets(space)[: max(first_hot) + 1]):
         for atom in level.atoms:
             for i in _pieces_of(f, atom):
                 if first_hot[i] == n:

@@ -6,6 +6,7 @@ import json
 import pickle
 import random
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 import pytest
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 from ordspace.grasberg import (
     GrasbergParams,
     StepFunction,
+    _norm_num,
+    _sup_num,
     argmax_on,
     check_king,
     check_queen,
@@ -27,6 +30,7 @@ from ordspace.grasberg import (
     step_add,
     step_convex,
     step_scale,
+    step_sum,
     sup_on,
     value_at,
     step_function_from_json,
@@ -578,6 +582,55 @@ def test_bisection_matches_the_pieces_by_atoms_scans(f_and_set, eps):
         got = phi(f, space, eps)
         assert got == reference_phi(f, space, eps)
         assert repr(got.atoms) == repr(reference_phi(f, space, eps).atoms)
+
+
+@st.composite
+def functions_on_infinite_sets(draw, count=st.just(1)):
+    """A closed set of cb index >= 2 and step functions on its ambient: the cut
+    points of random_step_function there, with tie values and numerators or
+    denominators above 10**30 in place of its values."""
+    space = draw(closed_sets)
+    assume(cb_index(space) > ONE)
+    fs = []
+    for _ in range(draw(count)):
+        cuts = random_step_function(space, draw(st.integers(min_value=0, max_value=10**6)), 12).breakpoints
+        values = draw(st.lists(STEP_VALUES, min_size=len(cuts), max_size=len(cuts)))
+        fs.append(StepFunction(space.ambient, cuts, values))
+    return space, fs
+
+
+@given(functions_on_infinite_sets())
+def test_pruned_norm_matches_the_every_level_max(space_and_fs):
+    """_norm_num walks the levels top down with the best so far as a floor."""
+    space, (f,) = space_and_fs
+    unpruned = max(_sup_num(f, level) << n for n, level in enumerate(level_sets(space)))
+    assert _norm_num(f, space) == unpruned
+    assert grasberg_norm(f, space) == Fraction(unpruned, f.den)
+
+
+@given(functions_on_infinite_sets(), st.data())
+def test_sup_num_with_a_floor_is_the_max_of_floor_and_sup(space_and_fs, data):
+    space, (f,) = space_and_fs
+    for s in (space,) + level_sets(space):
+        sup = reference_sup_on(f, s) * f.den
+        assert sup.denominator == 1
+        sup = sup.numerator
+        floors = [0, sup, sup + 1, max(sup - 1, 0), sup // 2, data.draw(st.integers(min_value=0, max_value=BIG**2))]
+        for floor in floors:
+            assert _sup_num(f, s, floor) == max(floor, sup)
+
+
+@given(functions_on_infinite_sets(count=st.integers(min_value=1, max_value=9)))
+def test_step_sum_matches_pairwise_step_add(space_and_fs):
+    _, fs = space_and_fs
+    assert step_sum(fs) == reduce(step_add, fs)
+
+
+def test_step_sum_rejects_no_functions_and_mixed_ambients():
+    with pytest.raises(ValueError, match="at least one"):
+        step_sum([])
+    with pytest.raises(ValueError, match="different ambient"):
+        step_sum([constant(OMEGA, 1), constant(OMEGA, 2), constant(OMEGA_SQ, 1)])
 
 
 def test_step_convex_rejects_bad_weights():

@@ -31,6 +31,7 @@ from ordspace.extract import (
 from ordspace.fuzz import random_ordinal, random_step_function
 from ordspace.grasberg import (
     StepFunction,
+    _phi,
     constant,
     grasberg_norm,
     indicator,
@@ -544,7 +545,7 @@ def test_the_stage_loop_refuses_an_infinite_critical_set(monkeypatch):
     """Extraction and verify share the per-stage check that the critical set is finite."""
     space = interval(OMEGA)
     cert = extract_small_combination(space, marching_indicators(space), Fraction(1, 2))
-    monkeypatch.setattr(ordspace.extract, "phi", lambda f, space, eps: interval(space.ambient))
+    monkeypatch.setattr(ordspace.extract, "_phi", lambda f, space, eps: (interval(space.ambient), Fraction(0)))
     for run in (
         lambda: extract_small_combination(space, marching_indicators(space), Fraction(1, 2)),
         lambda: cert.verify(space),
@@ -557,7 +558,7 @@ def test_stage_count_is_capped_before_any_stage(monkeypatch):
     space = interval(OMEGA)
     monkeypatch.setattr(ordspace.extract, "MAX_STAGES", 17)
     assert extract_small_combination(space, marching_indicators(space), Fraction(1, 2)).n == 17
-    monkeypatch.setattr(ordspace.extract, "phi", None)  # a stage would call it
+    monkeypatch.setattr(ordspace.extract, "_phi", None)  # the first stage's critical set would call it
     with pytest.raises(CertificateError, match=r"^delta = 1/3 with b = 1 needs n = 25 stages, above the limit of 17$"):
         extract_small_combination(space, marching_indicators(space), Fraction(1, 3))
 
@@ -677,8 +678,12 @@ def test_only_verify_refuses_a_float_delta():
 
 
 def test_extraction_applies_the_stage_bound(monkeypatch):
-    # extraction does not call verify; the stage loop it shares with verify checks the bounds
-    monkeypatch.setattr(ordspace.extract, "grasberg_norm", lambda f, space: Fraction(3))
+    # extraction does not call verify; the stage loop it shares with verify checks the bounds.
+    # Stage 1's norm comes with stage 2's critical set, from the second _phi call.
+    def phi_and_big_norm(f, space, eps):
+        return _phi(f, space, eps)[0], Fraction(3)
+
+    monkeypatch.setattr(ordspace.extract, "_phi", phi_and_big_norm)
     space = interval(OMEGA)
     with pytest.raises(CertificateError, match="stage bound fails at stage 1"):
         extract_small_combination(space, marching_indicators(space), Fraction(1, 2))
@@ -688,13 +693,32 @@ def test_extraction_checks_the_homogeneity_identity(monkeypatch):
     calls = []
 
     def norm(f, space):
-        calls.append(f)  # the 17 stage norms are right, the final one is doubled
-        return grasberg_norm(f, space) * (2 if len(calls) == 18 else 1)
+        calls.append(f)  # the last stage's norm is right, the final one is doubled
+        return grasberg_norm(f, space) * (2 if len(calls) == 2 else 1)
 
     monkeypatch.setattr(ordspace.extract, "grasberg_norm", norm)
     space = interval(OMEGA)
     with pytest.raises(CertificateError, match="homogeneity identity fails"):
         extract_small_combination(space, marching_indicators(space), Fraction(1, 2))
+
+
+@pytest.mark.parametrize("text, delta, n", [("w", "1/2", 17), ("w^(2)*2", "1/4", 65)])
+def test_each_running_sum_takes_one_norm(monkeypatch, text, delta, n):
+    """n + 1 running sums, the zero one included, and the final average: one norm each,
+    in extraction and in verify alike."""
+    calls = []
+    norm_num = ordspace.grasberg._norm_num
+
+    def counting(f, space):
+        calls.append(f)
+        return norm_num(f, space)
+
+    monkeypatch.setattr(ordspace.grasberg, "_norm_num", counting)
+    space = interval(parse(text))
+    cert = extract_small_combination(space, marching_indicators(space), Fraction(delta))
+    assert cert.n == n and len(calls) == n + 2
+    calls.clear()
+    assert cert.verify(space) and len(calls) == n + 2
 
 
 # --- behaviour lock -----------------------------------------------------------------
