@@ -17,6 +17,7 @@ import os
 import sys
 
 from .ordinal import (
+    ONE,
     Ordinal,
     ParseError,
     ZERO,
@@ -51,13 +52,16 @@ def _emit(args, text: str, payload) -> None:
 
 
 def _fraction(flag: str, text: str):
-    """Fraction(text), with an error line that names the flag."""
+    """A flag's p/q value, in the step-function JSON grammar; errors name the flag."""
     from fractions import Fraction
+    from .grasberg import _RATIONAL
 
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{flag} must be a rational like 1/2, got {text!r}") from None
+        if _RATIONAL.fullmatch(text):
+            return Fraction(text)
+    except ValueError:  # past the int-to-string digit limit
+        pass
+    raise ValueError(f"{flag} must be a rational like 1/2, got {text!r}")
 
 
 def _read_json(text: str):
@@ -88,11 +92,13 @@ def _load_tree(path: str):
     return tree_from_text(text)
 
 
-def _load_family(space, name_or_path: str, ladder: Ordinal):
+def _load_family(space, name_or_path: str, ladder: Ordinal | None):
     from .extract import family_from_table, marching_indicators
 
     if name_or_path == "marching-indicators":
-        return marching_indicators(space, step=ladder)
+        return marching_indicators(space, step=ONE if ladder is None else ladder)
+    if ladder is not None:
+        raise ValueError("--ladder applies only to the marching-indicators family")
     with open(name_or_path, "r", encoding="utf-8") as handle:
         table = _read_json(handle.read())
     return family_from_table(space, table)
@@ -251,21 +257,20 @@ def _cmd_tree(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    z, ladder = parse(args.space), parse(args.ladder)
+    z = parse(args.space)
+    ladder = None if args.ladder is None else parse(args.ladder)
     from .extract import extract_small_combination
     from .topology import interval
 
     space = interval(z)
     family = _load_family(space, args.family, ladder)
-    certificate = extract_small_combination(
-        space, family, _fraction("--delta", args.delta), max_probes=args.budget
-    )
+    certificate = extract_small_combination(space, family, _fraction("--delta", args.delta))
     text = (
         f"n={certificate.n} eps={certificate.eps}\n"
         f"branch={list(certificate.branch[-1])}\n"
         f"finalNorm={certificate.final_norm} < delta={certificate.delta}"
     )
-    _emit(args, text, certificate.to_json())
+    _emit(args, text, certificate.to_json() if args.json else None)  # to_json copies every path
     return 0
 
 
@@ -341,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = with_json(gras_sub.add_parser("phi", help="critical set of a step function"))
     p.add_argument("--space", required=True)
     p.add_argument("--fn", required=True)
-    p.add_argument("--eps", required=True, help="positive rational, e.g. 1/2")
+    p.add_argument("--eps", required=True, help="positive rational p/q, e.g. 1/2")
     for sp in gras_sub.choices.values():
         sp.set_defaults(handler=_cmd_grasberg)
 
@@ -363,9 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = with_json(sub.add_parser("extract", help="extract a small convex combination"))
     p.add_argument("--space", required=True)
     p.add_argument("--family", default="marching-indicators", help="builtin name or table file")
-    p.add_argument("--delta", required=True, help="positive rational target")
-    p.add_argument("--ladder", default="1", help="ladder step for marching-indicators")
-    p.add_argument("--budget", type=int, default=10**6, help="child search probe budget")
+    p.add_argument("--delta", required=True, help="positive rational p/q target")
+    p.add_argument("--ladder", help="ladder step for marching-indicators (default 1)")
     p.set_defaults(handler=_cmd_extract)
 
     schema = sub.add_parser("schema", help="JSON schemas for the data formats")

@@ -57,12 +57,12 @@ class WeaklyNullFamily(
     the space and each positive threshold, all but finitely many children stay
     below the threshold there.  The second half cannot be certified by any
     finite amount of evaluation, so extraction searches children up to a
-    budget (search_limit if set, else the caller's) and reports a contract
-    violation when the budget runs out.
+    budget, the family's own, and reports a contract violation when it runs out.
 
     Fields: space, the closed set the family lives on; at, the map from a
-    path (a tuple of child indices) to its step function; search_limit, an
-    optional cap on the child search; first_small, an optional
+    path (a tuple of child indices) to its step function; search_limit, the
+    child search's budget, an int >= 0 (unset: MAX_PROBES, which also caps
+    it); first_small, an optional
     first_small(path, critical, threshold, budget) giving the least k < budget
     whose child at(path + (k,)) is below threshold on critical, or None.  It
     stands in for extraction's probe loop, so it must name the child that loop
@@ -144,11 +144,11 @@ def family_from_table(space: ClosedSet, table: dict) -> WeaklyNullFamily:
 
     The table is an object {"cutoff": n, "entries": [{"path": [k, ...], "fn":
     f}, ...], "default": f or null}: a required integer cutoff >= 1, paths of
-    integers >= 0, and v1 step-function JSON for every f.  Listed paths map
-    to their functions; unlisted paths fall back to the default, else to
-    zero.  The cutoff caps the child search, since a finite table cannot
-    promise anything beyond it.  A malformed table raises a ValueError that
-    names the field.
+    integers >= 0, each listed once, and v1 step-function JSON for every f.
+    Listed paths map to their functions; unlisted paths fall back to the
+    default, else to zero.  The cutoff is the family's search_limit, since a
+    finite table cannot promise anything beyond it.  A malformed table raises
+    a ValueError that names the field.
     """
 
     def decode(data, field: str) -> StepFunction:
@@ -177,6 +177,8 @@ def family_from_table(space: ClosedSet, table: dict) -> WeaklyNullFamily:
         path = item["path"]
         if not (isinstance(path, list) and all(type(k) is int and k >= 0 for k in path)):
             raise ValueError(f"family table entries[{i}].path must be an array of integers >= 0")
+        if tuple(path) in entries:
+            raise ValueError(f"family table entries[{i}].path repeats the path {path}")
         entries[tuple(path)] = decode(item["fn"], f"entries[{i}].fn")
     default = None if table.get("default") is None else decode(table["default"], "default")
     zero = constant(space.ambient, 0)
@@ -198,10 +200,11 @@ class CertificateError(ValueError):
 
 
 # The stage loop keeps every path of its branch, so memory grows as n^2: on
-# [0, w^(5)] n = 8193 takes about 1.8-2.1 s of CPU and 277 MB (in process,
-# Python 3.11, a 2-vCPU host), and each doubling of n quadruples the memory.
+# [0, w^(5)] n = 8193 takes 1.5-2.1 s of CPU and 277 MB (in process, nine
+# runs, Python 3.11, a 2-vCPU host), and each doubling of n quadruples the memory.
 # A larger n is refused before any stage runs.
 MAX_STAGES = 8193
+MAX_PROBES = 10**6  # the child search's budget unless search_limit sets a smaller one
 
 
 def _leaves_unit_ball(f: StepFunction, space: ClosedSet) -> bool:
@@ -341,12 +344,7 @@ def _stages(space: ClosedSet, delta: Fraction, choose) -> ExtractionCertificate:
     )
 
 
-def extract_small_combination(
-    space: ClosedSet,
-    family: WeaklyNullFamily,
-    delta: Rational,
-    max_probes: int = 10**6,
-) -> ExtractionCertificate:
+def extract_small_combination(space: ClosedSet, family: WeaklyNullFamily, delta: Rational) -> ExtractionCertificate:
     """Walk one branch, adding family functions small on each critical set.
 
     At stage m the running sum g carries the previously chosen blocks with
@@ -360,18 +358,20 @@ def extract_small_combination(
     Each stage asks one search for its child, the family's first_small or
     else a probe loop over children 0, 1, 2, ... (one sup over the critical
     set's atoms each, about n^2/2 probes a run); marching_indicators's
-    first_small makes a run n searches.  The chosen child is then built and
+    first_small makes a run n searches.  Both stop at the family's budget,
+    search_limit capped at MAX_PROBES; the chosen child is then built and
     checked against the contract.  Only when the budget runs out is a witness
     point computed: the first point of the critical set where child budget - 1
     is largest, found from its pieces without listing points.  Here only
-    max_probes >= 0 and family.space == space are checked; every other rule
-    is the stage loop's, shared with verify, and raises CertificateError.
+    family.space == space and search_limit are checked; every other rule is
+    the stage loop's, shared with verify, and raises CertificateError.
     """
-    if max_probes < 0:
-        raise ValueError("max_probes must be >= 0")
     if family.space != space:
         raise ValueError("family is declared on a different space")
-    budget = max_probes if family.search_limit is None else min(max_probes, family.search_limit)
+    budget = MAX_PROBES if family.search_limit is None else family.search_limit
+    if type(budget) is not int or budget < 0:
+        raise ValueError(f"search_limit must be an integer >= 0, got {budget!r}")
+    budget = min(budget, MAX_PROBES)
 
     def child(path):
         candidate = family.at(path)
@@ -390,8 +390,7 @@ def extract_small_combination(
             raise FamilyContractError(
                 path,
                 argmax_on(family.at(path + (budget - 1,)), critical) if budget else None,
-                f"no child fell below {threshold} on the critical set "
-                f"within {budget} probes",
+                f"no child fell below {threshold} on the critical set within {budget} probes",
             )
         if type(k) is not int or not 0 <= k < budget:
             raise FamilyContractError(path, None, f"first_small answered {k!r}, not a child index in [0, {budget})")

@@ -17,7 +17,7 @@ import pytest
 
 import ordspace
 from ordspace.cli import MAX_PIECES, run, _color_enabled
-from ordspace.extract import MAX_STAGES
+from ordspace.extract import MAX_STAGES, ExtractionCertificate
 from ordspace.fuzz import shrink_step_function
 from ordspace.grasberg import StepFunction, constant, step_function_to_json, sup_on
 from ordspace.ordinal import OMEGA, from_int
@@ -325,22 +325,45 @@ def test_extract_tall_space_is_exit_1():
     assert "o = 1" in out
 
 
-def test_extract_zero_budget_is_exit_1_without_witness():
-    code, out = cap(["extract", "--space", "w", "--delta", "1/2", "--budget", "0"])
-    assert code == 1
-    assert out.startswith("error: family contract violated at node []")
-    assert "witness point" not in out
+def test_extract_text_output_builds_no_json(monkeypatch):
+    argv = ["extract", "--space", "w^(2)", "--delta", "1/4"]
+    expected = cap(argv)
+
+    def refuse(self):
+        raise AssertionError("text output built the JSON certificate")
+
+    monkeypatch.setattr(ExtractionCertificate, "to_json", refuse)
+    assert cap(argv) == expected
+    assert expected[0] == 0 and expected[1].startswith("n=65 eps=1/130\n")
 
 
-def test_extract_negative_budget_is_exit_1():
-    code, out = cap(["extract", "--space", "w", "--delta", "1/2", "--budget", "-1"])
-    assert (code, out) == (1, "error: max_probes must be >= 0\n")
+def test_extract_exhausted_budget_names_witness(tmp_path):
+    # Stage 1 picks the indicator of [0, 3]; every stage-2 child is 1/10 on
+    # [0, 1] and 1 on (1, 3], so no child within the cutoff is small on the
+    # critical set {0, 1, 2, 3}, and the witness is its first point where the
+    # last child is largest.
+    first = StepFunction(OMEGA, (from_int(3), OMEGA), (Fraction(1), Fraction(0)))
+    default = StepFunction(OMEGA, (from_int(1), from_int(3), OMEGA), (Fraction(1, 10), Fraction(1), Fraction(0)))
+    path = tmp_path / "fam.json"
+    path.write_text(
+        json.dumps(
+            {
+                "cutoff": 5,
+                "entries": [{"path": [0], "fn": step_function_to_json(first)}],
+                "default": step_function_to_json(default),
+            }
+        )
+    )
+    code, out = cap(["extract", "--space", "w", "--family", str(path), "--delta", "1/2"])
+    assert code == 1 and one_line_error(out)
+    assert "at node [0], witness point 2: no child fell below 1/68 on the critical set within 5 probes" in out
 
 
-def test_extract_exhausted_budget_names_witness():
-    code, out = cap(["extract", "--space", "w^(2)", "--delta", "1/2", "--ladder", "w", "--budget", "2"])
-    assert code == 1
-    assert "at node [0, 1], witness point w*3:" in out
+def test_extract_ladder_with_a_family_table_is_exit_1(tmp_path):
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({"cutoff": 40}))
+    code, out = cap(["extract", "--space", "w", "--family", str(path), "--delta", "1/2", "--ladder", "2"])
+    assert (code, out) == (1, "error: --ladder applies only to the marching-indicators family\n")
 
 
 def test_extract_long_ladder_does_not_list_points():
@@ -381,6 +404,7 @@ def test_extract_family_table_without_cutoff_is_exit_1(tmp_path):
         ({"cutoff": 1, "entries": [{"path": [0.5], "fn": None}]}, "entries[0].path"),
         ({"cutoff": 1, "entries": [{"path": [0], "fn": 5}]}, "entries[0].fn"),
         ({"cutoff": 1, "default": 5}, "default"),
+        ({"cutoff": 1, "entries": [{"path": [0], "fn": json.loads(CONST_ONE)}] * 2}, "entries[1].path repeats"),
     ],
     ids=[
         "not-an-object",
@@ -393,6 +417,7 @@ def test_extract_family_table_without_cutoff_is_exit_1(tmp_path):
         "path-float",
         "fn-number",
         "default-number",
+        "repeated-path",
     ],
 )
 def test_malformed_family_table_is_one_error_line(tmp_path, table, field):
@@ -474,13 +499,27 @@ UNBOUNDED_INPUTS = [
     (["extract", "--space", "w^(100000)", "--delta", "1"], 1, "n = about 2^100002 " + STAGE_LIMIT),
     (["check", "king", "--space", "w", "--max-pieces", "100000000"], 1, f"max_pieces must be <= {MAX_PIECES}\n"),
     (["ord", "eval", "w*" + "1" * 5000], 2, "number too long (5000 digits) at position 2\n"),
+    (["extract", "--space", "w", "--delta", "1e-999999999"], 1, "--delta must be a rational like 1/2, got '1e-999999999'\n"),
+    (
+        ["grasberg", "phi", "--space", "w", "--fn", CONST_ONE, "--eps", "1e999999999"],
+        1,
+        "--eps must be a rational like 1/2, got '1e999999999'\n",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, code, message",
     UNBOUNDED_INPUTS,
-    ids=["extract-tall-space", "extract-small-delta", "extract-huge-b", "check-many-pieces", "ord-long-number"],
+    ids=[
+        "extract-tall-space",
+        "extract-small-delta",
+        "extract-huge-b",
+        "check-many-pieces",
+        "ord-long-number",
+        "delta-exponent",
+        "eps-exponent",
+    ],
 )
 def test_unbounded_input_is_refused_in_one_line(argv, code, message):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
@@ -543,6 +582,28 @@ def test_zero_denominator_names_the_flag(argv, flag):
     code, out = cap(argv)
     assert code == 1
     assert one_line_error(out) and flag in out
+
+
+RATIONAL_FLAGS = {
+    "--delta": ["extract", "--space", "w"],
+    "--eps": ["grasberg", "phi", "--space", "w", "--fn", CONST_ONE],
+}
+
+
+@pytest.mark.parametrize("flag", RATIONAL_FLAGS)
+@pytest.mark.parametrize("text", ["0.5", "1e-3", " 1/2", "1/2 ", "+1/2", "1/02", "1_0/2", "１/2", "1" * 5000])
+def test_rational_flags_take_only_p_over_q(flag, text):
+    """--delta and --eps read the p/q grammar of step-function JSON values and nothing else."""
+    code, out = cap([*RATIONAL_FLAGS[flag], f"{flag}={text}"])
+    assert (code, out) == (1, f"error: {flag} must be a rational like 1/2, got {text!r}\n")
+
+
+@pytest.mark.parametrize("flag", RATIONAL_FLAGS)
+@pytest.mark.parametrize("text, code", [("1/2", 0), ("3", 0), ("-1/2", 1)])
+def test_rational_flags_accept_p_over_q(flag, text, code):
+    """A p/q value gets past the flag; a negative one then fails the domain check."""
+    got, out = cap([*RATIONAL_FLAGS[flag], f"{flag}={text}"])
+    assert got == code and "must be a rational" not in out
 
 
 @pytest.mark.parametrize(

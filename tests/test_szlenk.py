@@ -281,10 +281,31 @@ def test_extraction_rejects_tall_spaces():
     assert "o = 1" in str(info.value)
 
 
-def test_extraction_rejects_negative_probe_budget():
+@pytest.mark.parametrize("limit", [-1, True, 2.5], ids=["negative", "bool", "float"])
+def test_extraction_refuses_a_search_limit_that_is_not_a_natural(limit):
     space = interval(OMEGA)
-    with pytest.raises(ValueError, match="max_probes must be >= 0"):
-        extract_small_combination(space, marching_indicators(space), Fraction(1, 2), max_probes=-1)
+    family = marching_indicators(space)._replace(search_limit=limit)
+    with pytest.raises(ValueError) as info:
+        extract_small_combination(space, family, Fraction(1, 2))
+    assert info.type is ValueError
+    assert str(info.value) == f"search_limit must be an integer >= 0, got {limit!r}"
+
+
+def test_a_zero_search_limit_gives_no_witness():
+    space = interval(OMEGA)
+    with pytest.raises(FamilyContractError) as info:
+        extract_small_combination(space, marching_indicators(space)._replace(search_limit=0), Fraction(1, 2))
+    assert (info.value.path, info.value.point) == ((), None)
+    assert str(info.value).endswith("within 0 probes")
+
+
+@pytest.mark.parametrize("limit", [None, 10])
+def test_max_probes_caps_every_search(monkeypatch, limit):
+    space = interval(OMEGA)
+    stubborn = WeaklyNullFamily(space=space, at=lambda path: constant(OMEGA, 1), search_limit=limit)
+    monkeypatch.setattr(ordspace.extract, "MAX_PROBES", 3)
+    with pytest.raises(FamilyContractError, match="within 3 probes$"):
+        extract_small_combination(space, stubborn, Fraction(1, 2))
 
 
 def test_extraction_contract_violation():
@@ -486,8 +507,8 @@ def test_first_small_agrees_with_the_probe_loop_on_any_closed_set(ladder, critic
 
 
 def black_box(family):
-    """The same children behind a bare at, so extraction falls back to probing."""
-    return WeaklyNullFamily(space=family.space, at=family.at)
+    """The same children and budget behind a bare at, so extraction falls back to probing."""
+    return WeaklyNullFamily(space=family.space, at=family.at, search_limit=family.search_limit)
 
 
 @pytest.mark.parametrize(
@@ -499,9 +520,9 @@ def test_first_small_gives_the_probe_loops_certificate_and_errors(text, ladder, 
     family = marching_indicators(space, step=parse(ladder))
     for budget in (0, 1, 3):
         errors = []
-        for fam in (family, black_box(family)):
+        for fam in (family._replace(search_limit=budget), black_box(family._replace(search_limit=budget))):
             with pytest.raises(FamilyContractError) as info:
-                extract_small_combination(space, fam, Fraction(delta), max_probes=budget)
+                extract_small_combination(space, fam, Fraction(delta))
             errors.append((info.value.path, info.value.point, str(info.value)))
         assert errors[0] == errors[1]
         assert (errors[0][1] is None) == (budget == 0)
@@ -525,9 +546,11 @@ def test_first_small_builds_only_the_chosen_children():
 @pytest.mark.parametrize("answer", [-1, 7, True], ids=["negative", "budget", "bool"])
 def test_a_first_small_answer_outside_the_budget_is_a_contract_error(answer):
     space = interval(OMEGA)
-    lying = marching_indicators(space)._replace(first_small=lambda path, critical, threshold, budget: answer)
+    lying = marching_indicators(space)._replace(
+        search_limit=7, first_small=lambda path, critical, threshold, budget: answer
+    )
     with pytest.raises(FamilyContractError) as info:
-        extract_small_combination(space, lying, Fraction(1, 2), max_probes=7)
+        extract_small_combination(space, lying, Fraction(1, 2))
     assert (info.value.path, info.value.point) == ((), None)
     assert str(info.value).endswith(f"node []: first_small answered {answer!r}, not a child index in [0, 7)")
 
