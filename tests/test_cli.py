@@ -337,6 +337,15 @@ def test_extract_text_output_builds_no_json(monkeypatch):
     assert expected[0] == 0 and expected[1].startswith("n=65 eps=1/130\n")
 
 
+def test_extract_negative_budget_is_exit_1(tmp_path):
+    # The child-search budget is a table's cutoff, so a negative budget is
+    # refused where the table is read, before any extraction runs.
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({"cutoff": -1}))
+    code, out = cap(["extract", "--space", "w", "--family", str(path), "--delta", "1/2"])
+    assert (code, out) == (1, "error: family table cutoff must be an integer >= 1, got -1\n")
+
+
 def test_extract_exhausted_budget_names_witness(tmp_path):
     # Stage 1 picks the indicator of [0, 3]; every stage-2 child is 1/10 on
     # [0, 1] and 1 on (1, 3], so no child within the cutoff is small on the

@@ -291,6 +291,19 @@ def test_extraction_refuses_a_search_limit_that_is_not_a_natural(limit):
     assert str(info.value) == f"search_limit must be an integer >= 0, got {limit!r}"
 
 
+def test_extraction_rejects_negative_probe_budget():
+    # The budget is checked once, where extraction starts: no family member
+    # is asked for before a negative search_limit is refused.
+    space = interval(OMEGA)
+
+    def never(path):
+        raise AssertionError(f"family member {path} asked for")
+
+    family = WeaklyNullFamily(space=space, at=never, search_limit=-1)
+    with pytest.raises(ValueError, match=r"^search_limit must be an integer >= 0, got -1$"):
+        extract_small_combination(space, family, Fraction(1, 2))
+
+
 def test_a_zero_search_limit_gives_no_witness():
     space = interval(OMEGA)
     with pytest.raises(FamilyContractError) as info:
