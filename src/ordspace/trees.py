@@ -7,6 +7,8 @@ prunings needed to empty the tree, and stripping keeps what pruning would
 eventually remove.  Heights are computed once by peeling leaves level by
 level, so none of this recurses on tree depth.  Derived trees skip validation
 but not the peel: their heights are never copied from the tree they came from.
+The two rank facts are checked for every k from one table per tree, built on
+first use without the peel, so a corrupted height shows up as a failure.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ class FiniteTree:
     insertion order is kept for deterministic iteration and serialization.
     """
 
-    __slots__ = ("_parent", "_children", "_height", "_rank")
+    __slots__ = ("_parent", "_children", "_height", "_rank", "_facts")
 
     def __init__(self, parent: Mapping[Node, Node | None], _trusted: bool = False):
         parent_map = parent if _trusted else dict(parent)
@@ -43,6 +45,7 @@ class FiniteTree:
         object.__setattr__(self, "_children", {n: tuple(k) for n, k in children.items()})
         object.__setattr__(self, "_height", height)
         object.__setattr__(self, "_rank", top)
+        object.__setattr__(self, "_facts", None)  # see _facts; not part of ==, hash or pickle
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteTree is immutable")
@@ -133,9 +136,15 @@ def rank(tree: FiniteTree) -> int:
     return tree._rank
 
 
-def _stripped(tree: FiniteTree, k: int) -> dict[Node, Node | None]:
+def _check_k(tree: FiniteTree, k: int) -> None:
+    if not isinstance(k, int):  # the fact table is indexed by k
+        raise TypeError(f"k must be an integer, got {k!r}")
     if k < 0 or k > rank(tree):
         raise ValueError(f"k must lie in [0, rank] = [0, {rank(tree)}]")
+
+
+def _stripped(tree: FiniteTree, k: int) -> dict[Node, Node | None]:
+    _check_k(tree, k)
     return _restricted(tree, {n for n, h in tree._height.items() if h <= k})
 
 
@@ -180,32 +189,95 @@ class FactReport(namedtuple("FactReport", "fact k passed failures")):
         }
 
 
+def _find(up: dict, offset: dict, node: Node) -> tuple[Node, int]:
+    """The top of node's component and node's depth below it (the top's is 1);
+    relinks the path straight to the top, each node keeping its depth below its link."""
+    path = []
+    while node in up:
+        path.append(node)
+        node = up[node]
+    depth = 1
+    for step in reversed(path):
+        depth += offset[step]
+        up[step], offset[step] = node, depth - 1
+    return node, depth
+
+
+def _facts(tree: FiniteTree, k: int) -> tuple[list[int], dict[int, list]]:
+    """For k in [0, rank], the tree's fact table, built on first use: the rank of
+    the stripped tree at each k, and fact ii's (node, rank above it) failures by k.
+
+    Fact i adds the nodes in order of height and keeps each joined component, a
+    subtree, under its top node with its longest chain, which runs down from the
+    top.  Only a corrupted height lets a node join below a parent that is in
+    already, at the parent's depth, which a union-find keeps.  Fact ii takes each
+    node's longest chain strictly above it from its children, children first.
+    """
+    _check_k(tree, k)
+    if tree._facts is not None:
+        return tree._facts
+    parent, children, height = tree._parent, tree._children, tree._height
+    up, offset, longest = {}, {}, {}  # link to the top, depth below the link, a top's longest chain
+    order = sorted(parent, key=height.__getitem__)
+    stripped_rank, best, i = [], 0, 0
+    for level in range(tree._rank + 1):
+        while i < len(order) and height[order[i]] <= level:
+            node, chain = order[i], 1
+            i += 1
+            for child in children[node]:
+                if child in longest:  # in already, so the top of its component
+                    up[child], offset[child] = node, 1
+                    chain = max(chain, 1 + longest.pop(child))
+            par = parent[node]
+            if par in longest or par in up:
+                top, depth = _find(up, offset, par)
+                up[node], offset[node] = top, depth
+                chain = longest[top] = max(longest[top], depth + chain)
+            else:
+                longest[node] = chain
+            best = max(best, chain)
+        stripped_rank.append(best)
+
+    order = [node for node, par in parent.items() if par is None]
+    for node in order:  # breadth first, so reversed it puts children first
+        order.extend(children[node])
+    above = dict.fromkeys(parent, 0)
+    for node in reversed(order):
+        par = parent[node]
+        if par is not None and above[par] <= above[node]:
+            above[par] = above[node] + 1
+    failures: dict[int, list] = {}
+    for node in parent:
+        if above[node] != height[node] - 1:
+            failures.setdefault(height[node] - 1, []).append((node, above[node]))
+    object.__setattr__(tree, "_facts", (stripped_rank, failures))
+    return tree._facts
+
+
 def check_fact_i(tree: FiniteTree, k: int) -> FactReport:
-    """Stripping at k leaves a tree of rank exactly k."""
-    actual = _peel(_stripped(tree, k))[1]
+    """Stripping at k leaves a tree of rank exactly k; read off the tree's fact table."""
+    actual = _facts(tree, k)[0][k]
     failures = () if actual == k else ((None, actual),)
     return FactReport(fact="i", k=k, passed=actual == k, failures=failures)
 
 
 def check_fact_ii(tree: FiniteTree, k: int) -> FactReport:
     """Every maximal node of the k-th prune, a node of height k + 1, carries a
-    rank-k subtree above it; each rank is peeled afresh from a parent map."""
-    if k < 0 or k > rank(tree):
-        raise ValueError(f"k must lie in [0, rank] = [0, {rank(tree)}]")
-    failures = []
-    for s in [n for n in tree._parent if tree._height[n] == k + 1]:
-        actual = _peel(_above(tree, s))[1]
-        if actual != k:
-            failures.append((s, actual))
-    return FactReport(fact="ii", k=k, passed=not failures, failures=tuple(failures))
+    rank-k subtree above it; the failures are read off the tree's fact table,
+    in node order."""
+    failures = tuple(_facts(tree, k)[1].get(k, ()))
+    return FactReport(fact="ii", k=k, passed=not failures, failures=failures)
 
 
 # ---- serialization ----------------------------------------------------------
 
 
 def tree_to_text(tree: FiniteTree) -> str:
+    """One 'id parent-id' or 'id -' line per node; an id that would not read back is refused."""
     lines = []
     for node in tree.nodes:
+        if str(node).split() != [str(node)] or str(node) == "-":
+            raise ValueError(f"node {node!r} has no tree text form: an id is one word, not '-'")
         par = tree.parent(node)
         lines.append(f"{node} {'-' if par is None else par}")
     return "\n".join(lines) + ("\n" if lines else "")
@@ -221,6 +293,8 @@ def tree_from_text(text: str) -> FiniteTree:
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'id parent-id' or 'id -'")
         node, par = parts
+        if node == "-":
+            raise ValueError(f"line {lineno}: '-' means no parent and cannot be a node id")
         if node in entries:
             raise ValueError(f"line {lineno}: duplicate node {node!r}")
         entries[node] = None if par == "-" else par

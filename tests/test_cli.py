@@ -280,6 +280,14 @@ def test_tree_bad_file_is_exit_1(tmp_path):
     assert out.startswith("error:")
 
 
+def test_tree_node_named_dash_is_exit_1(tmp_path):
+    # '-' marks a node without a parent, so "- -" then "x -" must not make x a root
+    path = tmp_path / "t.txt"
+    path.write_text("- -\nx -\n")
+    code, out = cap(["tree", "facts", "--file", str(path)])
+    assert (code, out) == (1, "error: line 1: '-' means no parent and cannot be a node id\n")
+
+
 # --- extract ----------------------------------------------------------------------
 
 

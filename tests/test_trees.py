@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ordspace.trees as trees_module
+
 from ordspace.extract import family_from_table, marching_indicators, zero_family
 from ordspace.fuzz import random_step_function
 from ordspace.grasberg import StepFunction, constant, step_function_to_json, sup_on, value_at
@@ -30,6 +32,9 @@ from ordspace.trees import (
     tree_from_text,
     tree_to_json,
     tree_to_text,
+    _above,
+    _peel,
+    _stripped,
 )
 
 from conftest import longest_chain, random_tree
@@ -261,6 +266,98 @@ def test_fact_checks_match_the_derived_tree_reference(seed, size):
             check(t, rank(t) + 1)
 
 
+def peel_fact_reports(t, k):
+    """Facts i and ii as the library checked them before its fact table: per k,
+    peel the stripped map, and peel the subtree above each node of height k + 1."""
+    actual = _peel(_stripped(t, k))[1]
+    fact_i = FactReport("i", k, actual == k, () if actual == k else ((None, actual),))
+    failures = []
+    for s in [n for n in t._parent if t._height[n] == k + 1]:
+        above = _peel(_above(t, s))[1]
+        if above != k:
+            failures.append((s, above))
+    return fact_i, FactReport("ii", k, not failures, tuple(failures))
+
+
+@given(
+    st.integers(min_value=0, max_value=300),
+    st.integers(min_value=1, max_value=60),
+    st.sampled_from([0.02, 0.1, 0.5]),
+    st.integers(min_value=0, max_value=60),
+)
+def test_fact_table_matches_the_per_k_peel_also_on_corrupted_heights(seed, size, floor, overwrites):
+    # heights overwritten before the first check make facts fail: the table
+    # must report the same failures, in the same order, as the per-k peel
+    rng = random.Random(seed)
+    t = random_tree(rng, size, floor_chance=floor)
+    if overwrites:
+        height = dict(t._height)
+        for node in rng.sample(t.nodes, min(overwrites, size)):
+            height[node] = rng.randint(-1, rank(t) + 1)
+        object.__setattr__(t, "_height", height)
+    for k in range(rank(t) + 1):
+        got = (check_fact_i(t, k), check_fact_ii(t, k))
+        want = peel_fact_reports(t, k)
+        assert got == want
+        assert [tuple(map(type, r)) for r in got] == [tuple(map(type, r)) for r in want]
+    for check in (check_fact_i, check_fact_ii):
+        for k in (-1, rank(t) + 1):
+            with pytest.raises(ValueError) as info:
+                check(t, k)
+            assert str(info.value) == f"k must lie in [0, rank] = [0, {rank(t)}]"
+
+
+def test_fact_checks_and_strip_refuse_a_k_that_is_not_an_integer():
+    for check in (check_fact_i, check_fact_ii, strip):
+        with pytest.raises(TypeError, match="k must be an integer, got 1.5"):
+            check(chain(3), 1.5)
+
+
+def test_corrupted_heights_fail_both_facts_as_the_peel_does():
+    t = chain(4)  # true heights 4, 3, 2, 1 from the root up
+    object.__setattr__(t, "_height", {0: 4, 1: 1, 2: 2, 3: 1})
+    reports = [r for k in range(5) for r in (check_fact_i(t, k), check_fact_ii(t, k))]
+    assert reports == [r for k in range(5) for r in peel_fact_reports(t, k)]
+    # node 1 claims height 1 with two nodes above it; at k = 2 node 2 joins
+    # below node 1, which is in already, and the stripped chain 1-2-3 has rank 3
+    assert [(r.fact, r.k, r.failures) for r in reports if not r.passed] == [
+        ("ii", 0, ((1, 2),)),
+        ("i", 2, ((None, 3),)),
+    ]
+
+
+def test_checking_every_k_builds_one_table_and_peels_nothing(monkeypatch):
+    t = random_tree(random.Random(5), 2000, floor_chance=0.02)
+    builds = []  # one entry per table lookup: True when the slot was still empty
+    lookup = trees_module._facts
+    monkeypatch.setattr(trees_module, "_facts", lambda tree, k: builds.append(tree._facts is None) or lookup(tree, k))
+
+    def refuse(*args):
+        raise AssertionError("a fact check peeled")
+
+    for name in ("_peel", "_above", "_stripped"):
+        monkeypatch.setattr(trees_module, name, refuse)
+    for _ in range(2):
+        for k in range(rank(t) + 1):
+            assert check_fact_i(t, k).passed and check_fact_ii(t, k).passed
+    assert builds == [True] + [False] * (4 * (rank(t) + 1) - 1)
+
+
+def test_every_k_on_a_20000_node_chain_finishes():
+    # the per-k peel took the sum of all subtree sizes, 2 * 10**8 node visits here
+    t = chain(20000)
+    assert all(check_fact_i(t, k).passed and check_fact_ii(t, k).passed for k in range(rank(t) + 1))
+
+
+def test_the_fact_table_is_not_part_of_the_tree():
+    t = full_binary(3)
+    fresh = validated_twin(t)
+    assert check_fact_ii(t, 2).passed and t._facts is not None
+    assert t == fresh and hash(t) == hash(fresh)
+    for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert twin == t and twin._facts is None
+
+
 @given(st.integers(min_value=0, max_value=150), st.integers(min_value=1, max_value=50))
 def test_successor_set_identity(seed, size):
     # stripping commutes with pruning: (T minus T^k)^m = T^m minus T^k
@@ -325,6 +422,21 @@ def test_text_rejects_duplicate_ids():
 def test_text_rejects_malformed_line():
     with pytest.raises(ValueError):
         tree_from_text("a")
+
+
+def test_text_refuses_a_node_named_dash():
+    # '-' in the parent column means no parent, so as an id it would not read back
+    with pytest.raises(ValueError, match=r"^line 1: '-' means no parent"):
+        tree_from_text("- -\nx -")
+    with pytest.raises(ValueError, match=r"^line 2: "):
+        tree_from_text("x -\n- x")
+
+
+@pytest.mark.parametrize("node", ["-", "", "a b", "a\tb", "a\n", "\x1c"])
+def test_text_refuses_to_write_an_id_that_would_not_read_back(node):
+    for parent in ({node: None}, {"root": None, node: "root"}):
+        with pytest.raises(ValueError, match="has no tree text form"):
+            tree_to_text(FiniteTree(parent))
 
 
 def test_json_round_trip():
