@@ -51,19 +51,6 @@ def _emit(args, text: str, payload) -> None:
 # ---- input helpers ----------------------------------------------------------
 
 
-def _fraction(flag: str, text: str):
-    """A flag's p/q value, in the step-function JSON grammar; errors name the flag."""
-    from fractions import Fraction
-    from .grasberg import _RATIONAL
-
-    try:
-        if _RATIONAL.fullmatch(text):
-            return Fraction(text)
-    except ValueError:  # past the int-to-string digit limit
-        pass
-    raise ValueError(f"{flag} must be a rational like 1/2, got {text!r}")
-
-
 def _read_json(text: str):
     """json.loads, turning input nested too deeply for the decoder into a ValueError."""
     try:
@@ -162,7 +149,7 @@ def _cmd_szlenk(args) -> int:
 
 def _cmd_grasberg(args) -> int:
     z = parse(args.space)
-    from .grasberg import grasberg_norm, params, phi
+    from .grasberg import _rational, grasberg_norm, params, phi
     from .topology import format_closed_set, interval
     from .topology import to_json as closed_set_to_json
 
@@ -178,7 +165,7 @@ def _cmd_grasberg(args) -> int:
         _emit(args, str(value), {"norm": str(value)})
     else:
         f = _load_step_function(args.fn)
-        critical = phi(f, space, _fraction("--eps", args.eps))
+        critical = phi(f, space, _rational(args.eps, "--eps"))
         _emit(args, format_closed_set(critical), closed_set_to_json(critical))
     return 0
 
@@ -260,11 +247,12 @@ def _cmd_extract(args) -> int:
     z = parse(args.space)
     ladder = None if args.ladder is None else parse(args.ladder)
     from .extract import extract_small_combination
+    from .grasberg import _rational
     from .topology import interval
 
     space = interval(z)
     family = _load_family(space, args.family, ladder)
-    certificate = extract_small_combination(space, family, _fraction("--delta", args.delta))
+    certificate = extract_small_combination(space, family, _rational(args.delta, "--delta"))
     text = (
         f"n={certificate.n} eps={certificate.eps}\n"
         f"branch={list(certificate.branch[-1])}\n"

@@ -18,6 +18,7 @@ from .grasberg import (
     Rational,
     StepFunction,
     _phi,
+    _rational,
     _sup_num,
     argmax_on,
     constant,
@@ -396,4 +397,4 @@ def extract_small_combination(space: ClosedSet, family: WeaklyNullFamily, delta:
             raise FamilyContractError(path, None, f"first_small answered {k!r}, not a child index in [0, {budget})")
         return path + (k,), child(path + (k,))
 
-    return _stages(space, Fraction(delta), probe)
+    return _stages(space, _rational(delta, "delta"), probe)

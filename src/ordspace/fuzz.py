@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from .ordinal import ZERO, Ordinal, _trusted, add, omega_pow
 from .topology import ClosedSet, Singleton, roundup
-from .grasberg import Rational, StepFunction, _step, level_sets, params, phi, step_scale, sup_on
+from .grasberg import StepFunction, _step, level_sets, params, phi, step_scale, sup_on
 
 
 # ---- generators and trials --------------------------------------------------
@@ -67,39 +67,29 @@ def _landmarks(space: ClosedSet) -> frozenset[Ordinal]:
     return frozenset(pool)
 
 
-def random_step_function(
-    space: ClosedSet,
-    seed: int,
-    max_pieces: int = 6,
-    value_range: tuple[Rational, Rational] = (-1, 1),
-) -> StepFunction:
+def random_step_function(space: ClosedSet, seed: int, max_pieces: int = 6) -> StepFunction:
     """Deterministic fuzz generator.
 
     Breakpoints are drawn from random CNF points below the ambient plus the
     landmark multiples at each derivative level, so that cut points land on
-    derived sets often enough to make the norm levels matter.
+    derived sets often enough to make the norm levels matter.  Each piece's
+    value is -1 + 2k/den for a drawn den in 1..8 and k in 0..den.
     """
     if max_pieces < 1:
         raise ValueError("max_pieces must be >= 1")
     rng = random.Random(seed)
     ambient = space.ambient
-    lo_v, hi_v = Fraction(value_range[0]), Fraction(value_range[1])
-    if lo_v > hi_v:
-        raise ValueError("empty value range")
-
     pool = _landmarks(space).union(random_ordinal(rng, ambient) for _ in range(3 * max_pieces + 4))
     candidates = sorted(x for x in pool if x < ambient)
 
     count = rng.randint(1, max_pieces)
     chosen = rng.sample(candidates, min(count - 1, len(candidates)))
     breakpoints = sorted(set(chosen)) + [ambient]
-    # lo + span * k/den = (ln*sd*840 + sn*ld*k*(840/den)) / (ld*sd*840), as den <= 8
-    (ln, ld), (sn, sd) = lo_v.as_integer_ratio(), (hi_v - lo_v).as_integer_ratio()
-    nums = []
+    nums = []  # over 840, a common multiple of every den <= 8
     for _ in breakpoints:
         den = rng.randint(1, 8)
-        nums.append(ln * sd * 840 + sn * ld * rng.randint(0, den) * (840 // den))
-    return _step(ambient, breakpoints, nums, ld * sd * 840)
+        nums.append(2 * rng.randint(0, den) * (840 // den) - 840)
+    return _step(ambient, breakpoints, nums, 840)
 
 
 def _trial_eps(trial_seed: int):

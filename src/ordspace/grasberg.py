@@ -44,6 +44,23 @@ from .topology import (
 )
 
 Rational = Fraction | int | str
+_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+
+
+def _rational(x: Rational, what: str) -> Fraction:
+    """The one door for exact numbers: a Fraction as is, an int that is not a bool,
+    or a str in the p/q grammar of _RATIONAL.  Anything else, a float included,
+    raises before any large integer is built."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    if isinstance(x, str) and _RATIONAL.fullmatch(x):
+        try:
+            return Fraction(x)
+        except ValueError:  # past the int-to-string digit limit
+            pass
+    raise ValueError(f"{what} must be a rational like 1/2, got {x!r}")
 
 
 class GrasbergParams(namedtuple("GrasbergParams", "o b cb")):
@@ -85,7 +102,8 @@ class StepFunction(namedtuple("StepFunction", "ambient breakpoints nums den")):
     (ambient, breakpoints, nums, den) is canonical: adjacent equal values
     merged, den > 0, gcd(den, *nums) == 1; so tuple == is equality.  ``+``,
     ``*``, ``<`` and ``in`` raise TypeError.  This constructor, which copy and
-    pickle go through, validates its input; internal producers use _step.
+    pickle go through, validates its input and reads each value through
+    _rational; internal producers use _step.
     """
 
     __slots__ = ()
@@ -100,7 +118,7 @@ class StepFunction(namedtuple("StepFunction", "ambient breakpoints nums den")):
         for x, y in zip(breakpoints, breakpoints[1:]):
             if x >= y:
                 raise ValueError("breakpoints must be strictly increasing")
-        values = [Fraction(v) for v in values]
+        values = [_rational(v, "value") for v in values]
         den = reduce(lcm, (v.denominator for v in values), 1)
         return _step(ambient, breakpoints, [v.numerator * (den // v.denominator) for v in values], den)
 
@@ -144,7 +162,7 @@ def _step(ambient, breakpoints, nums, den) -> StepFunction:
 
 
 def constant(ambient: Ordinal, value: Rational) -> StepFunction:
-    value = Fraction(value)
+    value = _rational(value, "value")
     return _step(ambient, (ambient,), (value.numerator,), value.denominator)
 
 
@@ -217,14 +235,14 @@ def step_sum(fs: Sequence[StepFunction]) -> StepFunction:
 
 
 def step_scale(f: StepFunction, c: Rational) -> StepFunction:
-    c = Fraction(c)
+    c = _rational(c, "c")
     return _step(f.ambient, f.breakpoints, [c.numerator * x for x in f.nums], c.denominator * f.den)
 
 
 def step_convex(coeffs: Sequence[Rational], fs: Sequence[StepFunction]) -> StepFunction:
     """sum of coeffs[i] * fs[i] for non-negative coefficients that sum to 1, scaled
     one by one and added in one step_sum."""
-    coeffs = [Fraction(c) for c in coeffs]
+    coeffs = [_rational(c, "coefficient") for c in coeffs]
     if len(coeffs) != len(fs):
         raise ValueError("one coefficient per function required")
     if any(c < 0 for c in coeffs) or sum(coeffs, Fraction(0)) != 1:
@@ -333,7 +351,7 @@ def _phi(f: StepFunction, space: ClosedSet, eps: Rational) -> tuple[ClosedSet, F
     kept as one entry: a call with the same f and space objects (``is``) and
     an equal eps returns it, and a call that raises keeps nothing."""
     global _last_phi
-    eps = Fraction(eps)
+    eps = _rational(eps, "eps")
     if eps <= 0:
         raise ValueError("eps must be positive")
     last = _last_phi
@@ -419,7 +437,7 @@ class QueenReport(
 def check_queen(
     f: StepFunction, g: StepFunction, space: ClosedSet, eps: Rational
 ) -> QueenReport:
-    eps = Fraction(eps)
+    eps = _rational(eps, "eps")
     p = params(space)
     critical, nf = _phi(f, space, eps)
     hyp_lhs = sup_on(g, critical)
@@ -451,21 +469,18 @@ def step_function_to_json(f: StepFunction) -> dict:
     }
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
-
-
 def step_function_from_json(data: dict) -> StepFunction:
-    """Decode the v1 step-function JSON; values must be rational strings."""
+    """Decode the v1 step-function JSON; values must be strings that _rational reads."""
     if not isinstance(data, dict) or not isinstance(data.get("pieces"), list):
         raise ValueError("step function JSON must be an object with a pieces array")
     ambient = ordinal_from_json(_field(data, "ambient", "step function JSON"))
     bps, vals = [], []
     for piece in data["pieces"]:
         value = _field(piece, "value", "step function pieces")
-        if not (isinstance(value, str) and _RATIONAL.fullmatch(value)):
+        if not isinstance(value, str):
             raise ValueError(f"piece value must be a string like \"-3/4\", got {value!r}")
+        vals.append(_rational(value, "piece value"))
         bps.append(ordinal_from_json(_field(piece, "upTo", "step function pieces")))
-        vals.append(Fraction(value))
     return StepFunction(ambient, bps, vals)
 
 

@@ -75,7 +75,9 @@ def dirac_derivative(space: ClosedSet, eps: Rational, xi: Ordinal) -> ClosedSet:
     base point is a limit point of the space, and the derivation collapses to
     the topological derivative.  For eps >= 2 nothing survives even one step.
     """
-    eps = Fraction(eps)
+    from .grasberg import _rational  # not at the top: `ordspace szlenk` loads no grasberg
+
+    eps = _rational(eps, "eps")
     if eps <= 0:
         raise ValueError("eps must be positive")
     if xi.is_zero():

@@ -5,8 +5,9 @@ parent hang off an implicit root that is never itself a member.  Pruning
 removes the maximal nodes (those without children), rank is the number of
 prunings needed to empty the tree, and stripping keeps what pruning would
 eventually remove.  Heights are computed once by peeling leaves level by
-level, so none of this recurses on tree depth.  Derived trees skip validation
-but not the peel: their heights are never copied from the tree they came from.
+level, so none of this recurses on tree depth.  Derived trees go through the
+one validating constructor, peel included, so their heights are never copied
+from the tree they came from.
 The two rank facts are checked for every k from one table per tree, built on
 first use without the peel, so a corrupted height shows up as a failure.
 """
@@ -28,14 +29,13 @@ class FiniteTree:
 
     __slots__ = ("_parent", "_children", "_height", "_rank", "_facts")
 
-    def __init__(self, parent: Mapping[Node, Node | None], _trusted: bool = False):
-        parent_map = parent if _trusted else dict(parent)
-        if not _trusted:
-            for node, par in parent_map.items():
-                if node is None:
-                    raise ValueError("None is reserved for the implicit root")
-                if par is not None and par not in parent_map:
-                    raise ValueError(f"parent {par!r} of {node!r} is not a node")
+    def __init__(self, parent: Mapping[Node, Node | None]):
+        parent_map = dict(parent)
+        for node, par in parent_map.items():
+            if node is None:
+                raise ValueError("None is reserved for the implicit root")
+            if par is not None and par not in parent_map:
+                raise ValueError(f"parent {par!r} of {node!r} is not a node")
         children: dict[Node, list[Node]] = {node: [] for node in parent_map}
         for node, par in parent_map.items():
             if par is not None:
@@ -128,7 +128,7 @@ def iterated_prune(tree: FiniteTree, k: int) -> FiniteTree:
     if k < 0:
         raise ValueError("prune count must be non-negative")
     keep = {n for n, h in tree._height.items() if h > k}
-    return FiniteTree(_restricted(tree, keep), _trusted=True)
+    return FiniteTree(_restricted(tree, keep))
 
 
 def rank(tree: FiniteTree) -> int:
@@ -150,7 +150,7 @@ def _stripped(tree: FiniteTree, k: int) -> dict[Node, Node | None]:
 
 def strip(tree: FiniteTree, k: int) -> FiniteTree:
     """The part pruning would remove first: tree minus iterated_prune(tree, k)."""
-    return FiniteTree(_stripped(tree, k), _trusted=True)
+    return FiniteTree(_stripped(tree, k))
 
 
 def _above(tree: FiniteTree, s: Node) -> dict[Node, Node | None]:
@@ -169,7 +169,7 @@ def _above(tree: FiniteTree, s: Node) -> dict[Node, Node | None]:
 
 def subtree_above(tree: FiniteTree, s: Node) -> FiniteTree:
     """The nodes strictly above s, re-rooted so s's children become top-level."""
-    return FiniteTree(_above(tree, s), _trusted=True)
+    return FiniteTree(_above(tree, s))
 
 
 class FactReport(namedtuple("FactReport", "fact k passed failures")):
@@ -273,11 +273,12 @@ def check_fact_ii(tree: FiniteTree, k: int) -> FactReport:
 
 
 def tree_to_text(tree: FiniteTree) -> str:
-    """One 'id parent-id' or 'id -' line per node; an id that would not read back is refused."""
+    """One 'id parent-id' or 'id -' line per node; an id that would not read back,
+    such as one that is not a str, is refused."""
     lines = []
     for node in tree.nodes:
-        if str(node).split() != [str(node)] or str(node) == "-":
-            raise ValueError(f"node {node!r} has no tree text form: an id is one word, not '-'")
+        if not isinstance(node, str) or node.split() != [node] or node == "-":
+            raise ValueError(f"node {node!r} has no tree text form: an id is one word of text, not '-'")
         par = tree.parent(node)
         lines.append(f"{node} {'-' if par is None else par}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -219,6 +219,7 @@ FAILING_CHECKS = {
 }
 
 
+@pytest.mark.lock
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 @pytest.mark.parametrize("lemma, space", list(FAILING_CHECKS))
 def test_check_failure_prints_shrunk_counterexample(monkeypatch, lemma, space, as_json):
@@ -240,6 +241,7 @@ def test_check_deterministic():
     assert cap(argv) == cap(argv)
 
 
+@pytest.mark.lock
 def test_check_queen_builds_one_critical_set_per_trial(phi_builds):
     """The trial's scaling step and check_queen share one phi(f, space, eps)."""
     argv = ["check", "queen", "--space", "w^(2)", "--trials", "30", "--seed", "4"]
@@ -741,6 +743,7 @@ def readme_samples():
     return [pytest.param(argv, "".join(out), id=" ".join(argv)) for argv, out in samples]
 
 
+@pytest.mark.lock
 @pytest.mark.parametrize("argv, expected", readme_samples())
 def test_readme_samples(argv, expected):
     out = io.StringIO()

@@ -5,6 +5,8 @@ import hashlib
 import json
 import pickle
 import random
+import re
+import time
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -36,6 +38,7 @@ from ordspace.grasberg import (
     step_function_from_json,
     step_function_to_json,
 )
+from ordspace.extract import extract_small_combination, marching_indicators
 from ordspace.fuzz import random_ordinal, random_step_function
 from ordspace.ordinal import (
     OMEGA,
@@ -50,6 +53,7 @@ from ordspace.ordinal import (
     parse,
     validate,
 )
+from ordspace.szlenk import dirac_derivative
 from ordspace.topology import (
     ClosedSet,
     Singleton,
@@ -72,6 +76,11 @@ OMEGA_SQ = omega_pow(TWO)
 OMEGA_OMEGA = omega_pow(OMEGA)
 
 SPACES = [interval(OMEGA), interval(OMEGA_SQ), interval(OMEGA_OMEGA)]
+
+
+def ranged(f, lo, hi):
+    """f's values v in [-1, 1] moved onto [lo, hi]: lo + (hi - lo)(v + 1)/2."""
+    return step_add(step_scale(f, Fraction(hi - lo, 2)), constant(f.ambient, Fraction(hi + lo, 2)))
 
 
 def one_then_zero(ambient, cut=from_int(5)):
@@ -400,7 +409,7 @@ def assert_canonical(h):
 )
 def test_step_functions_have_one_canonical_form(space, seed_a, seed_b, c, m):
     """Every way of building the same function gives the same (nums, den), == and hash."""
-    f = random_step_function(space, seed_a, max_pieces=8, value_range=(-2, Fraction(3, 2)))
+    f = ranged(random_step_function(space, seed_a, max_pieces=8), -2, Fraction(3, 2))
     g = random_step_function(space, seed_b, max_pieces=8)
     outputs = [f, step_add(f, g), step_scale(f, c), step_add(f, step_scale(f, -1))]
     outputs += [step_convex([Fraction(1, m), 1 - Fraction(1, m)], [f, g]), indicator(space.ambient, ONE, OMEGA)]
@@ -700,11 +709,10 @@ def reference_random_ordinal(rng, bound):
     return acc if acc <= bound else bound
 
 
-def reference_random_step_function(space, seed, max_pieces=6, value_range=(-1, 1)):
+def reference_random_step_function(space, seed, max_pieces=6):
     """random_step_function with its landmark pool rebuilt on every call."""
     rng = random.Random(seed)
     ambient = space.ambient
-    lo_v, hi_v = Fraction(value_range[0]), Fraction(value_range[1])
     pool = set()
     try:
         levels = level_sets(space)
@@ -729,7 +737,7 @@ def reference_random_step_function(space, seed, max_pieces=6, value_range=(-1, 1
     values = []
     for _ in breakpoints:
         den = rng.randint(1, 8)
-        values.append(lo_v + (hi_v - lo_v) * Fraction(rng.randint(0, den), den))
+        values.append(-1 + 2 * Fraction(rng.randint(0, den), den))
     return StepFunction(ambient, breakpoints, values)
 
 
@@ -754,9 +762,9 @@ def test_random_ordinal_matches_the_add_reference(text):
 def test_random_step_function_matches_the_uncached_reference(text):
     space = interval(parse(text))
     for seed in range(150):
-        for max_pieces, value_range in ((5, (-1, 1)), (12, (Fraction(-1, 50), Fraction(1, 50)))):
-            got = random_step_function(space, seed, max_pieces, value_range)
-            assert got == reference_random_step_function(space, seed, max_pieces, value_range)
+        for max_pieces in (5, 12):
+            got = random_step_function(space, seed, max_pieces)
+            assert got == reference_random_step_function(space, seed, max_pieces)
 
 
 # --- norm laws -----------------------------------------------------------------
@@ -814,6 +822,7 @@ MIXED_LEVELS = ClosedSet(
 )
 
 
+@pytest.mark.lock
 @pytest.mark.parametrize(
     "space", SPACES + [interval(parse("w^(3)")), MIXED_LEVELS], ids=["w", "w2", "ww", "w3", "mixed"]
 )
@@ -822,7 +831,7 @@ def test_phi_integer_threshold_matches_the_fraction_rule(space):
     levels = len(level_sets(space))
     ties = 0
     for seed in range(60):
-        f = random_step_function(space, seed, max_pieces=12, value_range=(-3, Fraction(5, 2)))
+        f = ranged(random_step_function(space, seed, max_pieces=12), -3, Fraction(5, 2))
         norm = grasberg_norm(f, space)
         # eps where some |v| equals the cut / 2^(n+1) exactly, and eps around them
         tied = {2 ** (n + 1) * abs(v) - norm for v in f.values for n in range(levels)}
@@ -840,6 +849,7 @@ def assert_phi_matches_reference(f, space, eps):
     assert got == want and repr(got.atoms) == repr(want.atoms)
 
 
+@pytest.mark.lock
 @given(
     closed_sets,
     st.integers(min_value=0, max_value=10**6),
@@ -849,14 +859,15 @@ def assert_phi_matches_reference(f, space, eps):
 def test_phi_matches_the_every_level_reference_on_any_closed_set(space, seed, max_pieces, eps):
     """reference_phi clips each critical piece at every level; phi only at its first hot one."""
     assume(cb_index(space) > ONE)
-    f = random_step_function(space, seed, max_pieces, value_range=(-3, Fraction(5, 2)))
+    f = ranged(random_step_function(space, seed, max_pieces), -3, Fraction(5, 2))
     assert_phi_matches_reference(f, space, eps)
 
 
+@pytest.mark.lock
 def test_king_phi_and_queen_on_one_trial_build_one_critical_set(phi_builds):
     space = interval(OMEGA_SQ)
     f = random_step_function(space, 7, max_pieces=12)
-    g = random_step_function(space, 8, max_pieces=12, value_range=(Fraction(-1, 50), Fraction(1, 50)))
+    g = ranged(random_step_function(space, 8, max_pieces=12), Fraction(-1, 50), Fraction(1, 50))
     eps = Fraction(1, 3)
     king = check_king(f, space, eps)
     assert phi(f, space, "1/3") is king.phi
@@ -865,6 +876,7 @@ def test_king_phi_and_queen_on_one_trial_build_one_critical_set(phi_builds):
     assert king.phi == reference_phi(f, space, eps)
 
 
+@pytest.mark.lock
 def test_the_phi_memo_answers_only_the_same_objects_and_eps(phi_builds):
     space = interval(OMEGA_SQ)
     f = random_step_function(space, 3, max_pieces=12)
@@ -878,6 +890,7 @@ def test_the_phi_memo_answers_only_the_same_objects_and_eps(phi_builds):
         assert len(phi_builds) == k
 
 
+@pytest.mark.lock
 def test_a_phi_call_that_raises_leaves_no_stale_answer(phi_builds):
     space, narrow = interval(OMEGA_SQ), interval(OMEGA)
     f = random_step_function(space, 5, max_pieces=12)
@@ -900,6 +913,67 @@ def test_everything_stays_rational():
     assert all(isinstance(v, Fraction) for v in f.values)
     assert isinstance(grasberg_norm(f, space), Fraction)
     assert isinstance(sup_on(f, space), Fraction)
+
+
+def one_then_value(x):
+    """one_then_zero's JSON with the first piece's value replaced by x, decoded."""
+    data = step_function_to_json(one_then_zero(OMEGA))
+    data["pieces"][0]["value"] = x
+    return step_function_from_json(data)
+
+
+_W = interval(OMEGA)
+# entry point -> (the argument its errors name, a call that passes x as that argument)
+EXACT_INPUTS = {
+    "StepFunction": ("value", lambda x: StepFunction(OMEGA, (ONE, OMEGA), (x, 0))),
+    "constant": ("value", lambda x: constant(OMEGA, x)),
+    "step_scale": ("c", lambda x: step_scale(one_then_zero(OMEGA), x)),
+    "step_convex": ("coefficient", lambda x: step_convex([x, x], [one_then_zero(OMEGA), constant(OMEGA, 1)])),
+    "phi": ("eps", lambda x: phi(one_then_zero(OMEGA), _W, x)),
+    "check_king": ("eps", lambda x: check_king(one_then_zero(OMEGA), _W, x)),
+    "check_queen": ("eps", lambda x: check_queen(one_then_zero(OMEGA), constant(OMEGA, 0), _W, x)),
+    "extract_small_combination": ("delta", lambda x: extract_small_combination(_W, marching_indicators(_W), x)),
+    "dirac_derivative": ("eps", lambda x: dirac_derivative(_W, x, ONE)),
+    "step_function_from_json": ("piece value", one_then_value),
+}
+
+
+def outcome(call, x):
+    try:
+        return call(x)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("x", [0.1, True, "0.5", "1e-3", " 1/2", "+1/2", "1_0/2", "1e-999999999"])
+@pytest.mark.parametrize("entry", EXACT_INPUTS)
+def test_exact_inputs_refuse_floats_bools_and_other_grammars(entry, x):
+    """One door (grasberg._rational) reads every exact number, and refuses the rest
+    before any large integer is built."""
+    what, call = EXACT_INPUTS[entry]
+    kind = "a rational like 1/2"
+    if entry == "step_function_from_json" and not isinstance(x, str):
+        kind = 'a string like "-3/4"'  # JSON's own check, before the door
+    start = time.process_time()
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{what} must be {kind}, got {x!r}')}$"):
+        call(x)
+    assert time.process_time() - start < 0.5
+
+
+@pytest.mark.parametrize("x", [2, Fraction(1, 2), "1/2", "-3/4"])
+@pytest.mark.parametrize("entry", EXACT_INPUTS)
+def test_exact_inputs_take_ints_fractions_and_p_over_q(entry, x):
+    """An int, a Fraction or a p/q string gives what its Fraction gives, a result
+    or a domain error; JSON pieces take only the string."""
+    call = EXACT_INPUTS[entry][1]
+    if entry == "step_function_from_json":
+        want = outcome(lambda q: StepFunction(OMEGA, (from_int(5), OMEGA), (q, 0)), Fraction(x))
+        x = str(x)
+    else:
+        want = outcome(call, Fraction(x))
+    got = outcome(call, x)
+    assert got == want
+    assert "must be a rational" not in repr(got)
 
 
 # --- JSON ----------------------------------------------------------------------
@@ -934,7 +1008,7 @@ def grasberg_digest():
         for seed in range(150):
             eps = Fraction(1, 1 + seed % 9)
             f = random_step_function(space, seed, max_pieces=12)
-            g = random_step_function(space, seed + 1000, max_pieces=12, value_range=small)
+            g = ranged(random_step_function(space, seed + 1000, max_pieces=12), *small)
             critical = phi(f, space, eps)
             record = [
                 check_king(f, space, eps).to_json(),
@@ -949,5 +1023,6 @@ def grasberg_digest():
     return digest.hexdigest()
 
 
+@pytest.mark.lock
 def test_grasberg_digest_locked():
     assert grasberg_digest() == "6b82d36618fd3ad83f30867fe2ccc985135752b3bced48f647b7831ac62491d8"

@@ -426,7 +426,7 @@ def test_integer_decisions_match_the_fraction_rules(text):
     space = interval(parse(text))
     ties = unit_values = leaves = 0
     for seed in range(40):
-        f = random_step_function(space, 2 * seed, max_pieces=10, value_range=(-1 - seed % 2, 1 + seed % 2))
+        f = step_scale(random_step_function(space, 2 * seed, max_pieces=10), 1 + seed % 2)
         g = random_step_function(space, 2 * seed + 1, max_pieces=10)
         criticals = [phi(g, space, Fraction(seed % 5 + 1, 4)), *level_sets(space), ClosedSet(space.ambient, ())]
         unit_values += sum(abs(v) == 1 for v in f.values)
@@ -704,11 +704,12 @@ def test_extraction_and_verify_refuse_a_domain_error_alike(space, delta, message
     assert messages == [message, message]
 
 
-def test_only_verify_refuses_a_float_delta():
-    """Extraction reads delta with Fraction; a certificate must store a Fraction."""
+def test_extraction_and_verify_refuse_a_float_delta():
+    """Extraction reads delta through grasberg._rational; a certificate must store a Fraction."""
     space = interval(OMEGA)
-    cert = extract_small_combination(space, marching_indicators(space), 0.5)
-    assert cert == extract_small_combination(space, marching_indicators(space), Fraction(1, 2))
+    with pytest.raises(ValueError, match=r"^delta must be a rational like 1/2, got 0\.5$"):
+        extract_small_combination(space, marching_indicators(space), 0.5)
+    cert = extract_small_combination(space, marching_indicators(space), Fraction(1, 2))
     with pytest.raises(CertificateError, match="^delta must be a Fraction$"):
         dataclasses.replace(cert, delta=0.5).verify(space)
 
@@ -782,6 +783,7 @@ LOCKED_CERTIFICATES = [
 ]
 
 
+@pytest.mark.lock
 @pytest.mark.parametrize(
     "text, delta, ladder, n, digest",
     LOCKED_CERTIFICATES,
