@@ -13,10 +13,11 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .ordinal import ONE, Ordinal, format_ordinal, mul_nat
-from .topology import ClosedSet, Singleton, cb_index, roundup
+from .topology import ClosedSet, Singleton, _known, is_finite, roundup
 from .grasberg import (
     Rational,
     StepFunction,
+    _add,
     _phi,
     _rational,
     _sup_num,
@@ -25,7 +26,6 @@ from .grasberg import (
     grasberg_norm,
     indicator,
     params,
-    step_add,
     step_function_from_json,
     step_scale,
     step_sum,
@@ -112,7 +112,7 @@ def marching_indicators(space: ClosedSet, step: Ordinal = ONE) -> WeaklyNullFami
         return j + 1 if c * j == d and r < xt else j
 
     def first_small(path, critical: ClosedSet, threshold: Fraction, budget: int) -> int | None:
-        if threshold > 1:  # every child is 0 or 1, so every child is small
+        if threshold.numerator > threshold.denominator:  # every child is 0 or 1, so every child is small
             return 0 if budget else None
         blocked = []  # per atom, the run of children whose windows meet it; last = budget: no end
         for atom in critical.atoms:
@@ -120,7 +120,7 @@ def marching_indicators(space: ClosedSet, step: Ordinal = ONE) -> WeaklyNullFami
                 least = greatest = atom.point
             else:  # the multiples of w^mu in (lo, hi]: least above lo, greatest hi's prefix
                 least = roundup(atom.lo, atom.mu)
-                greatest = tuple(term for term in atom.hi if term[0] >= atom.mu)
+                greatest = atom.hi if atom.hi[-1][0] >= atom.mu else tuple(t for t in atom.hi if t[0] >= atom.mu)
             first = index(least)
             if first is not None:
                 last = index(greatest)
@@ -163,6 +163,7 @@ def family_from_table(space: ClosedSet, table: dict) -> WeaklyNullFamily:
 
     if not isinstance(table, dict):
         raise ValueError("family table must be a JSON object")
+    _known(table, ("cutoff", "entries", "default"), "family table")
     if "cutoff" not in table:
         raise ValueError("family table requires an explicit 'cutoff'")
     cutoff = table["cutoff"]
@@ -175,6 +176,7 @@ def family_from_table(space: ClosedSet, table: dict) -> WeaklyNullFamily:
     for i, item in enumerate(items):
         if not (isinstance(item, dict) and "path" in item and "fn" in item):
             raise ValueError(f"family table entries[{i}] must be an object with path and fn keys")
+        _known(item, ("path", "fn"), f"family table entries[{i}]")
         path = item["path"]
         if not (isinstance(path, list) and all(type(k) is int and k >= 0 for k in path)):
             raise ValueError(f"family table entries[{i}].path must be an array of integers >= 0")
@@ -201,7 +203,7 @@ class CertificateError(ValueError):
 
 
 # The stage loop keeps every path of its branch, so memory grows as n^2: on
-# [0, w^(5)] n = 8193 takes 1.5-2.1 s of CPU and 277 MB (in process, nine
+# [0, w^(5)] n = 8193 takes 0.9-1.0 s of CPU and 278 MB (in process, three
 # runs, Python 3.11, a 2-vCPU host), and each doubling of n quadruples the memory.
 # A larger n is refused before any stage runs.
 MAX_STAGES = 8193
@@ -267,15 +269,15 @@ def _stages(space: ClosedSet, delta: Fraction, choose) -> ExtractionCertificate:
     two share, from delta and the space to each exact link of the chain of bounds.
 
     One _phi per running sum gives both its norm, which the stage bound reads,
-    and the next stage's critical set; after the last stage only the norm is
-    taken.  So n stages take n + 2 norms, the final one included, and the
-    blocks are summed by one step_sum.
-    """
+    and the next stage's critical set (is_finite decides its finiteness); after
+    the last stage only the norm is taken.  So n stages take n + 2 norms, the
+    final one included.  Each block enters the running sum over 2^(1+b) in one
+    merge (_add), and the blocks are summed by one step_sum."""
     if not isinstance(delta, Fraction):
         raise CertificateError("delta must be a Fraction")
     if delta <= 0:
         raise CertificateError("delta must be positive")
-    p = params(space) if cb_index(space) > ONE else None
+    p = None if is_finite(space) else params(space)
     if p is None or not p.o.is_zero():
         has = "is finite" if p is None else f"has o = {format_ordinal(p.o)}"
         raise CertificateError(f"extraction requires an infinite space of finite height; this space {has}")
@@ -290,8 +292,7 @@ def _stages(space: ClosedSet, delta: Fraction, choose) -> ExtractionCertificate:
     eps = Fraction(1, 2 * n)
     if (2 * n + 1) ** n >= 2 * (2 * n) ** n:
         raise CertificateError("(1+eps)^n must stay below 2")
-    threshold = eps / 2**b
-    scale = Fraction(1, 2 ** (1 + b))
+    threshold, scale = eps / 2**b, 2 ** (1 + b)  # the running sum holds each block over 2^(1+b)
 
     running = constant(space.ambient, 0)
     critical = _phi(running, space, eps)[0]
@@ -302,7 +303,7 @@ def _stages(space: ClosedSet, delta: Fraction, choose) -> ExtractionCertificate:
     stage_norms: list[Fraction] = []
 
     for m in range(n):
-        if cb_index(critical) > ONE:
+        if not is_finite(critical):
             raise CertificateError(f"critical set at stage {m + 1} is infinite")
         step, block = choose(m, path, critical, threshold)
         if len(step) != m + 1 or step[:m] != path:
@@ -314,7 +315,7 @@ def _stages(space: ClosedSet, delta: Fraction, choose) -> ExtractionCertificate:
         if not _small_on(block, critical, threshold):
             raise CertificateError(f"block {m + 1} is not small on the critical set")
         path = step
-        running = step_add(running, step_scale(block, scale))
+        running = _add(running, block, scale)
         if m + 1 < n:
             critical, norm = _phi(running, space, eps)
         else:
@@ -350,7 +351,7 @@ def extract_small_combination(space: ClosedSet, family: WeaklyNullFamily, delta:
 
     At stage m the running sum g carries the previously chosen blocks with
     weight 1/2^(1+b); its critical set is finite (the king bound at finite
-    height, checked as cb_index <= 1 without listing the points), so the least
+    height, checked by is_finite without listing the points), so the least
     child of the current node that is below eps/2^b everywhere on it is
     chosen.  The average of the chosen blocks then has Grasberg
     norm below delta, by the exact chain
@@ -395,6 +396,7 @@ def extract_small_combination(space: ClosedSet, family: WeaklyNullFamily, delta:
             )
         if type(k) is not int or not 0 <= k < budget:
             raise FamilyContractError(path, None, f"first_small answered {k!r}, not a child index in [0, {budget})")
-        return path + (k,), child(path + (k,))
+        step = path + (k,)
+        return step, child(step)
 
     return _stages(space, _rational(delta, "delta"), probe)

@@ -36,6 +36,7 @@ from .topology import (
     ClosedSet,
     Singleton,
     _field,
+    _known,
     _unvalidated,
     cb_index,
     clip_atom,
@@ -172,8 +173,8 @@ def indicator(ambient: Ordinal, lo: Ordinal, hi: Ordinal) -> StepFunction:
         raise ValueError("indicator window must satisfy lo <= hi <= ambient")
     if lo == hi:
         return constant(ambient, 0)
-    i, j = (1 if lo.is_zero() else 0), (3 if hi < ambient else 2)  # drop empty pieces
-    return _step(ambient, (lo, hi, ambient)[i:j], (0, 1, 0)[i:j], 1)
+    i, j = (1 if lo.is_zero() else 0), (3 if hi < ambient else 2)  # drop empty pieces; canonical as is
+    return tuple.__new__(StepFunction, (ambient, (lo, hi, ambient)[i:j], (0, 1, 0)[i:j], 1))
 
 
 def value_at(f: StepFunction, point: Ordinal) -> Fraction:
@@ -190,9 +191,15 @@ def step_add(f: StepFunction, g: StepFunction) -> StepFunction:
     """
     if f.ambient != g.ambient:
         raise ValueError("step functions live on different ambient intervals")
+    return _add(f, g, 1)
+
+
+def _add(f: StepFunction, g: StepFunction, q: int) -> StepFunction:
+    """f + g/q for an int q >= 1, ambients unchecked: step_add's merge with g's
+    numerators over q * g.den, so a scaled block is added without building it."""
     fb, fn, gb, gn = f.breakpoints, f.nums, g.breakpoints, g.nums
-    den = lcm(f.den, g.den)
-    fs, gs = den // f.den, den // g.den
+    den = lcm(f.den, q * g.den)
+    fs, gs = den // f.den, den // (q * g.den)
     bps, nums = [], []
     i = j = 0
     while i < len(fb):
@@ -281,11 +288,10 @@ def _sup_num(f: StepFunction, space: ClosedSet, floor: int = 0) -> int:
     for atom in space.atoms:
         if isinstance(atom, Singleton):
             x = abs(nums[bisect_left(bps, atom.point)])
-        elif atom.mu.is_zero():
-            pieces = _pieces_of(f, atom)
-            x = max(map(abs, nums[pieces.start : pieces.stop]))
+        elif not atom.mu:
+            x = max(map(abs, nums[bisect_right(bps, atom.lo) : bisect_left(bps, atom.hi) + 1]))
         else:
-            for i in _pieces_of(f, atom):
+            for i in range(bisect_right(bps, atom.lo), bisect_left(bps, atom.hi) + 1):
                 x = abs(nums[i])
                 if x > best and clip_atom(atom, bps[i - 1] if i else None, bps[i], least=True) is not None:
                     best = x
@@ -325,7 +331,9 @@ def _norm_num(f: StepFunction, space: ClosedSet) -> int:
     levels = level_sets(space)
     best = 0
     for n in range(len(levels) - 1, -1, -1):
-        best = max(best, _sup_num(f, levels[n], best >> n) << n)
+        x = _sup_num(f, levels[n], best >> n) << n
+        if x > best:
+            best = x
     return best
 
 
@@ -340,19 +348,20 @@ _last_phi = None
 
 
 def _phi(f: StepFunction, space: ClosedSet, eps: Rational) -> tuple[ClosedSet, Fraction]:
-    """phi(f, space, eps) and the norm |f| that it needs, from one _norm_num:
-    check_queen and each stage of extraction read both, so a function's
-    critical set and norm cost b+1 level sups, not 2(b+1).
+    """phi(f, space, eps) and the norm |f| that it needs, from one _norm_num
+    (looked up as a module global on each call): check_queen and each stage of
+    extraction read both, so a critical set and norm cost b+1 level sups.
 
     Each piece is clipped only at its first hot level k, the least n with
     2^(n+1)|v| > |f| + eps: a point of level m in it gives 2^m|v| <= |f| <
     2^(k+1)|v|, so m <= k and every later clip is empty; the levels above the
-    highest first hot level are not scanned.  The last answer is
-    kept as one entry: a call with the same f and space objects (``is``) and
-    an equal eps returns it, and a call that raises keeps nothing."""
+    highest first hot level are not scanned.  A clip of one stratum, each
+    stage's, takes ClosedSet's one-stratum path.  The last answer is kept as
+    one entry: a call with the same f and space objects (``is``) and an
+    equal eps returns it, and a call that raises keeps nothing."""
     global _last_phi
     eps = _rational(eps, "eps")
-    if eps <= 0:
+    if eps.numerator <= 0:
         raise ValueError("eps must be positive")
     last = _last_phi
     if last is not None and last[0] is f and last[1] is space and last[2] == eps:
@@ -362,7 +371,7 @@ def _phi(f: StepFunction, space: ClosedSet, eps: Rational) -> tuple[ClosedSet, F
     # first true at n + 1 = max(1, (cut // (|x|*ed)).bit_length()); never for x = 0
     ed = eps.denominator
     cut = norm * ed + eps.numerator * f.den
-    first_hot = [max((cut // (abs(x) * ed)).bit_length() - 1, 0) if x else -1 for x in f.nums]
+    first_hot = [(cut // (abs(x) * ed) or 1).bit_length() - 1 if x else -1 for x in f.nums]
     bps, atoms = f.breakpoints, []
     for n, level in enumerate(level_sets(space)[: max(first_hot) + 1]):
         for atom in level.atoms:
@@ -470,13 +479,15 @@ def step_function_to_json(f: StepFunction) -> dict:
 
 
 def step_function_from_json(data: dict) -> StepFunction:
-    """Decode the v1 step-function JSON; values must be strings that _rational reads."""
+    """Decode the v1 step-function JSON: values are strings that _rational reads, and no key is unknown."""
     if not isinstance(data, dict) or not isinstance(data.get("pieces"), list):
         raise ValueError("step function JSON must be an object with a pieces array")
+    _known(data, ("ambient", "pieces"), "step function JSON")
     ambient = ordinal_from_json(_field(data, "ambient", "step function JSON"))
     bps, vals = [], []
     for piece in data["pieces"]:
         value = _field(piece, "value", "step function pieces")
+        _known(piece, ("upTo", "value"), "step function piece")
         if not isinstance(value, str):
             raise ValueError(f"piece value must be a string like \"-3/4\", got {value!r}")
         vals.append(_rational(value, "piece value"))

@@ -109,7 +109,7 @@ def clip_atom(
     if lo >= hi:
         return None
     if not least:
-        return Stratum(lo, hi, atom.mu)
+        return tuple.__new__(Stratum, (lo, hi, atom.mu))  # lo < hi holds
     first = roundup(lo, atom.mu)
     return first if first <= hi else None
 
@@ -157,7 +157,22 @@ def _holder(run: list[Stratum], g: Ordinal) -> Stratum | None:
     return run[i] if i >= 0 and g <= run[i].hi else None
 
 
+def _check_window(ambient: Ordinal, s: Stratum) -> None:
+    if s.lo >= s.hi:
+        raise ValueError("stratum requires lo < hi")
+    if s.hi > ambient:
+        raise ValueError(f"stratum reaches {s.hi}, outside [0, {ambient}]")
+
+
 def _normalize(ambient: Ordinal, atoms: Iterable[Atom]) -> tuple[Atom, ...]:
+    """The canonical atoms of the union.  A list or tuple of one stratum, as an
+    extraction stage's critical set often is, skips the sweeps: it is checked as
+    any stratum is, then becomes (), its one point as a singleton, or itself."""
+    if isinstance(atoms, (list, tuple)) and len(atoms) == 1 and isinstance(atoms[0], Stratum):
+        s = atoms[0]
+        _check_window(ambient, s)
+        first = roundup(s.lo, s.mu)  # a stratum with first + w^mu > hi is the one point first
+        return () if first > s.hi else (Singleton(first),) if roundup(first, s.mu) > s.hi else (s,)
     singles: set[Ordinal] = set()
     strata: list[Stratum] = []
     for atom in atoms:
@@ -166,10 +181,7 @@ def _normalize(ambient: Ordinal, atoms: Iterable[Atom]) -> tuple[Atom, ...]:
                 raise ValueError(f"point {atom.point} outside [0, {ambient}]")
             singles.add(atom.point)
         elif isinstance(atom, Stratum):
-            if atom.lo >= atom.hi:
-                raise ValueError("stratum requires lo < hi")
-            if atom.hi > ambient:
-                raise ValueError(f"stratum reaches {atom.hi}, outside [0, {ambient}]")
+            _check_window(ambient, atom)
             if stratum_nonempty(atom.lo, atom.hi, atom.mu):
                 strata.append(atom)
         else:
@@ -264,19 +276,24 @@ def cb_index(space: ClosedSet) -> Ordinal:
     return max((atom_height(atom) for atom in space.atoms), default=ZERO)
 
 
-def finite_points(space: ClosedSet) -> tuple[Ordinal, ...] | None:
-    """All points of the set if it is finite, else None.
+def is_finite(space: ClosedSet) -> bool:
+    """Whether the set is finite, i.e. cb_index(space) <= 1, without listing it:
+    a stratum is infinite exactly when its window holds a multiple of w^(mu+1)."""
+    for atom in space.atoms:
+        if isinstance(atom, Stratum) and roundup(atom.lo, add(atom.mu, ONE)) <= atom.hi:
+            return False
+    return True
 
-    A stratum is finite exactly when its window holds no multiple of
-    w^(mu+1), i.e. when its height is 1.
-    """
+
+def finite_points(space: ClosedSet) -> tuple[Ordinal, ...] | None:
+    """All points of the set if it is finite, else None."""
+    if not is_finite(space):
+        return None
     points: set[Ordinal] = set()
     for atom in space.atoms:
         if isinstance(atom, Singleton):
             points.add(atom.point)
             continue
-        if roundup(atom.lo, add(atom.mu, ONE)) <= atom.hi:
-            return None
         step = omega_pow(atom.mu)
         m = roundup(atom.lo, atom.mu)
         while m <= atom.hi:
@@ -325,16 +342,25 @@ def _field(data: dict, key: str, what: str):
     return data[key]
 
 
+def _known(data: dict, keys: tuple[str, ...], what: str) -> None:
+    for key in data:
+        if key not in keys:
+            raise ValueError(f"{what} has an unknown field {key!r}")
+
+
 def from_json(data: dict) -> ClosedSet:
-    """Decode the v1 closed-set JSON; malformed input raises ValueError."""
+    """Decode the v1 closed-set JSON; malformed input, an unknown key included, raises ValueError."""
     if not isinstance(data, dict) or not isinstance(data.get("atoms"), list):
         raise ValueError("closed set JSON must be an object with an atoms array")
+    _known(data, ("ambient", "atoms"), "closed set JSON")
     ambient = ordinal_from_json(_field(data, "ambient", "closed set JSON"))
     atoms: list[Atom] = []
     for item in data["atoms"]:
         if isinstance(item, dict) and "singleton" in item:
+            _known(item, ("singleton",), "closed set singleton atom")
             atoms.append(Singleton(ordinal_from_json(item["singleton"])))
         else:
-            fields = (_field(item, key, "closed set atoms") for key in ("lo", "hi", "mu"))
+            fields = [_field(item, key, "closed set atoms") for key in ("lo", "hi", "mu")]
+            _known(item, ("lo", "hi", "mu"), "closed set atom")
             atoms.append(Stratum(*map(ordinal_from_json, fields)))
     return ClosedSet(ambient, atoms)

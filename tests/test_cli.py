@@ -139,6 +139,24 @@ def test_grasberg_norm_bad_json_is_exit_1():
     assert out.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "on_object, on_piece, message",
+    [
+        ({"colour": "x"}, {"note": "x"}, "step function JSON has an unknown field 'colour'"),
+        ({}, {"note": "x"}, "step function piece has an unknown field 'note'"),
+    ],
+    ids=["object", "piece"],
+)
+def test_grasberg_norm_refuses_keys_the_schema_does_not_name(on_object, on_piece, message):
+    data = json.loads(CONST_ONE)
+    data.update(on_object)
+    data["pieces"][0].update(on_piece)
+    code, out = cap(["grasberg", "norm", "--space", "w", "--fn", json.dumps(data)])
+    assert (code, out) == (1, f"error: {message}\n")
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(data, load_schema("step_function.json"))
+
+
 def test_step_function_json_matches_schema():
     payload = step_function_to_json(
         StepFunction(OMEGA, (from_int(3), OMEGA), (Fraction(2, 3), Fraction(0)))
@@ -424,6 +442,8 @@ def test_extract_family_table_without_cutoff_is_exit_1(tmp_path):
         ({"cutoff": 1, "entries": [{"path": [0], "fn": 5}]}, "entries[0].fn"),
         ({"cutoff": 1, "default": 5}, "default"),
         ({"cutoff": 1, "entries": [{"path": [0], "fn": json.loads(CONST_ONE)}] * 2}, "entries[1].path repeats"),
+        ({"cutoff": 1, "entires": []}, "has an unknown field 'entires'"),
+        ({"cutoff": 1, "entries": [{"path": [0], "fn": json.loads(CONST_ONE), "note": 1}]}, "entries[0] has an unknown field 'note'"),
     ],
     ids=[
         "not-an-object",
@@ -437,6 +457,8 @@ def test_extract_family_table_without_cutoff_is_exit_1(tmp_path):
         "fn-number",
         "default-number",
         "repeated-path",
+        "unknown-key",
+        "entry-unknown-key",
     ],
 )
 def test_malformed_family_table_is_one_error_line(tmp_path, table, field):

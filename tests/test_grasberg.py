@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 from ordspace.grasberg import (
     GrasbergParams,
     StepFunction,
+    _add,
     _norm_num,
+    _phi,
     _sup_num,
     argmax_on,
     check_king,
@@ -357,6 +359,28 @@ def test_step_add_matches_value_at_reference(space, seed_a, seed_b, max_pieces):
     g = random_step_function(space, seed_b, max_pieces=max_pieces)
     assert step_add(f, g) == reference_step_convex([1, 1], [f, g])
     assert step_add(f, g) == step_add(g, f)
+
+
+@pytest.mark.lock
+@given(
+    st.sampled_from(FUZZ_SPACES),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from([1, 2, 3, 4, 8, 16]),
+    st.sampled_from([Fraction(1, 130), Fraction(1, 2), Fraction(3)]),
+)
+def test_adding_a_block_over_q_is_step_add_of_its_scaling(space, seed_a, seed_b, max_pieces, q, eps):
+    """The stage loop adds block/2^(1+b) in one merge, _add(running, block, q): the
+    same canonical tuple as step_add(running, step_scale(block, 1/q)), and so the
+    same norm and critical set."""
+    f = random_step_function(space, seed_a, max_pieces=max_pieces)
+    g = random_step_function(space, seed_b, max_pieces=max_pieces)
+    want = step_add(f, step_scale(g, Fraction(1, q)))
+    got = _add(f, g, q)
+    assert type(got) is StepFunction and got == want
+    assert got == StepFunction(got.ambient, got.breakpoints, got.values)
+    assert _phi(got, space, eps) == _phi(want, space, eps)
 
 
 @given(
@@ -984,6 +1008,22 @@ def test_step_function_json_shape():
     data = step_function_to_json(f)
     assert set(data) == {"ambient", "pieces"}
     assert data["pieces"][0] == {"upTo": [[[], 5]], "value": "1"}
+
+
+@pytest.mark.parametrize(
+    "on_object, on_piece, message",
+    [
+        ({"colour": "red"}, {}, "step function JSON has an unknown field 'colour'"),
+        ({}, {"note": 1}, "step function piece has an unknown field 'note'"),
+    ],
+    ids=["object", "piece"],
+)
+def test_step_function_json_refuses_keys_the_schema_does_not_name(on_object, on_piece, message):
+    data = step_function_to_json(one_then_zero(OMEGA))
+    data.update(on_object)
+    data["pieces"][1].update(on_piece)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        step_function_from_json(data)
 
 
 def test_step_function_json_round_trip():

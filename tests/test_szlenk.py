@@ -5,6 +5,7 @@ import hashlib
 import json
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,7 @@ from ordspace.grasberg import (
     level_sets,
     params,
     phi,
+    step_add,
     step_function_to_json,
     step_scale,
     sup_on,
@@ -65,6 +67,7 @@ from ordspace.topology import (
     finite_points,
     interval,
     is_empty,
+    is_finite,
     iterated_derivative,
 )
 from ordspace.szlenk import SzlenkResult, dirac_derivative, index_of_CK, index_of_interval
@@ -758,6 +761,23 @@ def test_each_running_sum_takes_one_norm(monkeypatch, text, delta, n):
     assert cert.verify(space) and len(calls) == n + 2
 
 
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ({"cutoff": 3, "entires": []}, "family table has an unknown field 'entires'"),
+        ({"cutoff": 3, "defualt": None}, "family table has an unknown field 'defualt'"),
+        (
+            {"cutoff": 3, "entries": [{"path": [0], "fn": step_function_to_json(constant(OMEGA, 0)), "note": "x"}]},
+            "family table entries[0] has an unknown field 'note'",
+        ),
+    ],
+    ids=["entires", "defualt", "entry-note"],
+)
+def test_family_tables_refuse_keys_they_do_not_name(table, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        family_from_table(interval(OMEGA), table)
+
+
 # --- behaviour lock -----------------------------------------------------------------
 
 
@@ -796,3 +816,35 @@ def test_certificate_digest_locked(text, delta, ladder, n, digest):
     assert cert.n == n
     assert certificate_digest(cert) == digest
     assert cert.verify(space)
+
+
+@pytest.mark.lock
+@pytest.mark.parametrize(
+    "text, delta, ladder, n, digest",
+    LOCKED_CERTIFICATES,
+    ids=[f"{text}-{delta}" for text, delta, *_ in LOCKED_CERTIFICATES],
+)
+def test_stages_match_step_add_of_the_scaled_block(monkeypatch, text, delta, ladder, n, digest):
+    """The stage loop's running sums, critical sets and stage norms are those of
+    step_add(running, step_scale(block, 1/2^(1+b))) with every finiteness decided
+    by cb_index, in extraction and in verify."""
+    space = interval(parse(text))
+    seen = []
+
+    def recording(f, space, eps):
+        seen.append((f, _phi(f, space, eps)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(ordspace.extract, "_phi", recording)
+    cert = extract_small_combination(space, marching_indicators(space, step=parse(ladder)), Fraction(delta))
+    scale = Fraction(1, 2 ** (1 + params(space).b))
+    sums = [constant(space.ambient, 0)]
+    for block in cert.blocks:
+        sums.append(step_add(sums[-1], step_scale(block, scale)))
+    assert [f for f, _ in seen] == sums[:n]  # the last sum takes grasberg_norm, not _phi
+    for f, (critical, norm) in seen:
+        assert (critical, norm) == (phi(step_add(f, constant(f.ambient, 0)), space, cert.eps), grasberg_norm(f, space))
+        assert is_finite(critical) and cb_index(critical) <= ONE
+    assert cert.stage_norms == tuple(grasberg_norm(f, space) for f in sums[1:])
+    seen.clear()
+    assert cert.verify(space) and [f for f, _ in seen] == sums[:n]

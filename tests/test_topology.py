@@ -40,11 +40,13 @@ from ordspace.topology import (
     from_json,
     interval,
     is_empty,
+    is_finite,
     iterated_derivative,
     max_stratum_exponent,
     roundup,
     stratum_nonempty,
     to_json,
+    _normalize,
     _stratum_contains,
 )
 
@@ -490,6 +492,42 @@ def test_normalize_ignores_input_order(atoms, data):
     assert ClosedSet(POOL_AMBIENT, shuffled).atoms == ClosedSet(POOL_AMBIENT, atoms).atoms
 
 
+def normalized_or_error(ambient, atoms):
+    try:
+        return _normalize(ambient, atoms)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.lock
+@settings(max_examples=300)
+@given(
+    st.sampled_from(ENDPOINTS),
+    st.sampled_from(ENDPOINTS),
+    st.sampled_from(ENDPOINTS),
+    st.sampled_from(LEVELS),
+)
+def test_one_stratum_takes_the_general_normal_form(ambient, lo, hi, mu):
+    """The one-stratum fast path against the general sweeps (a doubled stratum, a
+    generator): the same tuple, or the same ValueError for a window that is not
+    lo < hi (forged past the constructor) or leaves [0, ambient]."""
+    s = tuple.__new__(Stratum, (lo, hi, mu))
+    fast = normalized_or_error(ambient, [s])
+    assert fast == normalized_or_error(ambient, (s,))
+    assert fast == normalized_or_error(ambient, [s, s]) == normalized_or_error(ambient, iter([s]))
+    if lo < hi <= ambient:
+        assert fast == reference_normalize(ambient, [s])
+        assert all(type(atom) in (Singleton, Stratum) for atom in fast)
+
+
+@pytest.mark.lock
+@settings(max_examples=300)
+@given(st.one_of(closed_sets, raw_atom_lists.map(lambda atoms: ClosedSet(POOL_AMBIENT, atoms))))
+def test_is_finite_is_cb_index_at_most_one(s):
+    assert is_finite(s) == (cb_index(s) <= ONE)
+    assert (finite_points(s) is None) == (not is_finite(s))
+
+
 @given(raw_atom_lists)
 def test_normalize_is_idempotent(atoms):
     s = ClosedSet(POOL_AMBIENT, atoms)
@@ -511,6 +549,9 @@ def test_json_round_trip(s):
     assert from_json(to_json(s)) == s
 
 
+W_JSON = [[[[[], 1]], 1]]
+
+
 @pytest.mark.parametrize(
     "data, field",
     [
@@ -520,6 +561,11 @@ def test_json_round_trip(s):
         ({"ambient": [], "atoms": 5}, "atoms"),
         ({"ambient": [], "atoms": [7]}, "atoms: expected an object"),
         ([], "object"),
+        ({"ambient": [], "atoms": [], "colour": 1}, "^closed set JSON has an unknown field 'colour'$"),
+        ({"ambient": [], "atoms": [{"singleton": [], "note": 1}]}, "^closed set singleton atom has an unknown field 'note'$"),
+        ({"ambient": W_JSON, "atoms": [{"lo": [], "hi": W_JSON, "mu": [], "mu2": []}]}, "^closed set atom has an unknown field 'mu2'$"),
+        ({"ambient": [], "atoms": [{"singleton": [], "lo": []}]}, "^closed set singleton atom has an unknown field 'lo'$"),
+        ({"ambient": W_JSON, "atoms": [{"singleton": [], "lo": [], "hi": W_JSON, "mu": []}]}, "^closed set singleton atom has an unknown field 'lo'$"),
     ],
 )
 def test_json_decoder_names_the_malformed_field(data, field):
