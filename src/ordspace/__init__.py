@@ -27,8 +27,7 @@ _EXPORTS = {
     "fuzz": ("random_step_function",),
     "trees": (
         "EMPTY_TREE", "FactReport", "FiniteTree", "check_fact_i", "check_fact_ii",
-        "iterated_prune", "max_nodes", "prune", "rank", "strip", "subtree_above",
-        "tree_from_json", "tree_from_text", "tree_to_json", "tree_to_text",
+        "rank", "tree_from_json", "tree_from_text", "tree_to_json", "tree_to_text",
     ),
     "szlenk": ("SzlenkResult", "dirac_derivative", "index_of_CK", "index_of_interval"),
     "extract": (

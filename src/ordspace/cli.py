@@ -258,7 +258,7 @@ def _cmd_extract(args) -> int:
         f"branch={list(certificate.branch[-1])}\n"
         f"finalNorm={certificate.final_norm} < delta={certificate.delta}"
     )
-    _emit(args, text, certificate.to_json() if args.json else None)  # to_json copies every path
+    _emit(args, text, certificate.to_json() if args.json else None)  # v1 lists all n paths: quadratic in n
     return 0
 
 

@@ -9,6 +9,7 @@ stage loop.  Only spaces of finite height (o = 0) are in scope.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -202,10 +203,11 @@ class CertificateError(ValueError):
     """A rule of the stage loop failed; extraction raises it as well as verify."""
 
 
-# The stage loop keeps every path of its branch, so memory grows as n^2: on
-# [0, w^(5)] n = 8193 takes 0.9-1.0 s of CPU and 278 MB (in process, three
-# runs, Python 3.11, a 2-vCPU host), and each doubling of n quadruples the memory.
-# A larger n is refused before any stage runs.
+# A run stores its branch once, so memory is linear: n = 8193 on [0, w^(5)] takes
+# 0.52-0.56 s of CPU and 21 MB (in process, three runs, Python 3.11, a 2-vCPU host).
+# The cap holds --json, whose v1 certificate lists all n paths, to 193 MB of output
+# and 647 MB of peak RSS; each doubling of n quadruples both.  A larger n is refused
+# before any stage runs.
 MAX_STAGES = 8193
 MAX_PROBES = 10**6  # the child search's budget unless search_limit sets a smaller one
 
@@ -220,15 +222,40 @@ def _small_on(f: StepFunction, critical: ClosedSet, threshold: Fraction) -> bool
     return _sup_num(f, critical) * threshold.denominator < threshold.numerator * f.den
 
 
+@dataclass(frozen=True, eq=False)
+class _Branch(Sequence):
+    """A run's n paths kept as the last one, item m being path[:m+1]; equal to a
+    _Branch of the same path and to a tuple of the same n paths, whose hash it takes."""
+
+    path: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.path)
+
+    def __getitem__(self, m):
+        if isinstance(m, slice):
+            return tuple(self.path[: i + 1] for i in range(len(self.path))[m])
+        return self.path[: range(len(self.path))[m] + 1]
+
+    def __eq__(self, other):
+        if isinstance(other, _Branch):
+            return self.path == other.path
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class ExtractionCertificate:
     """Transcript of one extraction run; every field is exact.
 
-    branch[m] is the path after stage m+1; blocks[m] the function added
-    there; stage_norms[m] the Grasberg norm of the running scaled sum.
+    branch[m] is the path after stage m+1, blocks[m] the function added there,
+    stage_norms[m] the Grasberg norm of the running scaled sum.  The branch is
+    kept as its last path; one given as n paths must be a chain, checked here only.
     """
 
-    branch: tuple[tuple[int, ...], ...]
+    branch: _Branch
     blocks: tuple[StepFunction, ...]
     stage_norms: tuple[Fraction, ...]
     eps: Fraction
@@ -236,6 +263,13 @@ class ExtractionCertificate:
     final: StepFunction
     final_norm: Fraction
     delta: Fraction
+
+    def __post_init__(self):
+        if not isinstance(self.branch, _Branch):
+            branch = _Branch(tuple(self.branch[-1]) if self.branch else ())
+            if branch != tuple(self.branch):
+                raise CertificateError("branch is not a chain of extending paths")
+            object.__setattr__(self, "branch", branch)
 
     def to_json(self) -> dict:
         return {
@@ -253,7 +287,7 @@ class ExtractionCertificate:
         def replay(m, path, critical, threshold):
             if m >= len(self.branch) or len(self.branch) != len(self.blocks):
                 raise CertificateError("stage count mismatch")
-            return self.branch[m], self.blocks[m]
+            return self.branch.path[m], self.blocks[m]
 
         again = _stages(space, self.delta, replay)
         differ = [f.name for f in fields(self) if getattr(self, f.name) != getattr(again, f.name)]
@@ -265,8 +299,9 @@ class ExtractionCertificate:
 def _stages(space: ClosedSet, delta: Fraction, choose) -> ExtractionCertificate:
     """The stage recurrence: building (extract_small_combination) and checking
     (ExtractionCertificate.verify) differ only in choose(m, path, critical,
-    threshold), which gives stage m's path and block.  It owns every rule the
-    two share, from delta and the space to each exact link of the chain of bounds.
+    threshold), which gives stage m's child index k and block.  It owns every
+    rule the two share, from delta and the space to each exact link of the chain
+    of bounds.  The one path grows by k per stage, a chain by construction.
 
     One _phi per running sum gives both its norm, which the stage bound reads,
     and the next stage's critical set (is_finite decides its finiteness); after
@@ -298,23 +333,20 @@ def _stages(space: ClosedSet, delta: Fraction, choose) -> ExtractionCertificate:
     critical = _phi(running, space, eps)[0]
     grow_num = grow_den = 1
     path: tuple[int, ...] = ()
-    branch: list[tuple[int, ...]] = []
     blocks: list[StepFunction] = []
     stage_norms: list[Fraction] = []
 
     for m in range(n):
         if not is_finite(critical):
             raise CertificateError(f"critical set at stage {m + 1} is infinite")
-        step, block = choose(m, path, critical, threshold)
-        if len(step) != m + 1 or step[:m] != path:
-            raise CertificateError("branch is not a chain of extending paths")
+        k, block = choose(m, path, critical, threshold)
         if block.ambient != space.ambient:
             raise CertificateError(f"block {m + 1} lives on a different ambient interval")
         if _leaves_unit_ball(block, space):
             raise CertificateError(f"block {m + 1} leaves the unit ball")
         if not _small_on(block, critical, threshold):
             raise CertificateError(f"block {m + 1} is not small on the critical set")
-        path = step
+        path += (k,)
         running = _add(running, block, scale)
         if m + 1 < n:
             critical, norm = _phi(running, space, eps)
@@ -324,7 +356,6 @@ def _stages(space: ClosedSet, delta: Fraction, choose) -> ExtractionCertificate:
             raise CertificateError(f"stage bound fails at stage {m + 1}")
         grow_num *= 2 * n + 1
         grow_den *= 2 * n
-        branch.append(path)
         blocks.append(block)
         stage_norms.append(norm)
 
@@ -335,7 +366,7 @@ def _stages(space: ClosedSet, delta: Fraction, choose) -> ExtractionCertificate:
     if final_norm >= delta:
         raise CertificateError("final norm is not below delta")
     return ExtractionCertificate(
-        branch=tuple(branch),
+        branch=_Branch(path),
         blocks=tuple(blocks),
         stage_norms=tuple(stage_norms),
         eps=eps,
@@ -396,7 +427,6 @@ def extract_small_combination(space: ClosedSet, family: WeaklyNullFamily, delta:
             )
         if type(k) is not int or not 0 <= k < budget:
             raise FamilyContractError(path, None, f"first_small answered {k!r}, not a child index in [0, {budget})")
-        step = path + (k,)
-        return step, child(step)
+        return k, child(path + (k,))
 
     return _stages(space, _rational(delta, "delta"), probe)

@@ -1,15 +1,14 @@
-"""Finite well-founded trees: rank, pruning, stripping and the two rank facts.
+"""Finite well-founded trees: rank and the two rank facts.
 
 A tree is a finite set of nodes with a partial parent map; nodes without a
 parent hang off an implicit root that is never itself a member.  Pruning
 removes the maximal nodes (those without children), rank is the number of
-prunings needed to empty the tree, and stripping keeps what pruning would
-eventually remove.  Heights are computed once by peeling leaves level by
-level, so none of this recurses on tree depth.  Derived trees go through the
-one validating constructor, peel included, so their heights are never copied
-from the tree they came from.
-The two rank facts are checked for every k from one table per tree, built on
-first use without the peel, so a corrupted height shows up as a failure.
+prunings needed to empty the tree, and stripping at k keeps what the first k
+prunings remove.  Heights are computed once by peeling leaves level by level,
+so none of this recurses on tree depth.  The two rank facts, about the
+stripped tree and the subtrees above the nodes of height k + 1, are checked
+for every k from one table per tree, built on first use without the peel and
+without building a derived tree, so a corrupted height shows up as a failure.
 """
 
 from __future__ import annotations
@@ -109,30 +108,8 @@ def _peel(parent: Mapping[Node, Node | None]) -> tuple[dict[Node, int], int]:
 EMPTY_TREE = FiniteTree({})
 
 
-def max_nodes(tree: FiniteTree) -> tuple[Node, ...]:
-    """The maximal nodes: those without children."""
-    return tuple(n for n in tree.nodes if not tree.children(n))
-
-
-def _restricted(tree: FiniteTree, keep: set) -> dict[Node, Node | None]:
-    """The parent map of the kept nodes; a node whose parent goes hangs off the root."""
-    return {n: p if p in keep else None for n, p in tree._parent.items() if n in keep}
-
-
-def prune(tree: FiniteTree) -> FiniteTree:
-    return iterated_prune(tree, 1)
-
-
-def iterated_prune(tree: FiniteTree, k: int) -> FiniteTree:
-    """Remove maximal nodes k times; the survivors are the nodes of height > k."""
-    if k < 0:
-        raise ValueError("prune count must be non-negative")
-    keep = {n for n, h in tree._height.items() if h > k}
-    return FiniteTree(_restricted(tree, keep))
-
-
 def rank(tree: FiniteTree) -> int:
-    """Least k with iterated_prune(tree, k) empty; the longest chain length."""
+    """The number of prunings that empty the tree; the longest chain length."""
     return tree._rank
 
 
@@ -141,35 +118,6 @@ def _check_k(tree: FiniteTree, k: int) -> None:
         raise TypeError(f"k must be an integer, got {k!r}")
     if k < 0 or k > rank(tree):
         raise ValueError(f"k must lie in [0, rank] = [0, {rank(tree)}]")
-
-
-def _stripped(tree: FiniteTree, k: int) -> dict[Node, Node | None]:
-    _check_k(tree, k)
-    return _restricted(tree, {n for n, h in tree._height.items() if h <= k})
-
-
-def strip(tree: FiniteTree, k: int) -> FiniteTree:
-    """The part pruning would remove first: tree minus iterated_prune(tree, k)."""
-    return FiniteTree(_stripped(tree, k))
-
-
-def _above(tree: FiniteTree, s: Node) -> dict[Node, Node | None]:
-    """The parent map of the nodes strictly above s, with s's children top-level."""
-    if s not in tree:
-        raise ValueError(f"{s!r} is not a node of the tree")
-    parent: dict[Node, Node | None] = {}
-    children = tree._children
-    stack = [(child, None) for child in reversed(children[s])]
-    while stack:
-        node, par = stack.pop()
-        parent[node] = par
-        stack.extend([(child, node) for child in reversed(children[node])])
-    return parent
-
-
-def subtree_above(tree: FiniteTree, s: Node) -> FiniteTree:
-    """The nodes strictly above s, re-rooted so s's children become top-level."""
-    return FiniteTree(_above(tree, s))
 
 
 class FactReport(namedtuple("FactReport", "fact k passed failures")):

@@ -16,7 +16,6 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ordspace.grasberg import (
-    GrasbergParams,
     StepFunction,
     _add,
     _norm_num,

@@ -1,11 +1,13 @@
 """Tests for the index formulas, Dirac derivations, and the extraction recursion."""
 
+import copy
 import dataclasses
 import hashlib
 import json
 import pickle
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,7 @@ import ordspace.topology
 import ordspace.trees
 from ordspace.extract import (
     CertificateError,
+    ExtractionCertificate,
     FamilyContractError,
     WeaklyNullFamily,
     _leaves_unit_ball,
@@ -72,7 +75,7 @@ from ordspace.topology import (
 )
 from ordspace.szlenk import SzlenkResult, dirac_derivative, index_of_CK, index_of_interval
 
-from conftest import closed_sets, landmark_points, ordinals, small_ordinals
+from conftest import closed_sets, ordinals, small_ordinals
 
 TWO = from_int(2)
 THREE = from_int(3)
@@ -625,13 +628,8 @@ def _block(m, block):
     return lambda c: {"blocks": c.blocks[:m] + (block,) + c.blocks[m + 1 :]}
 
 
-def _broken_path(c):
-    broken = (c.branch[0][0] + 1,) + c.branch[1][1:]
-    return {"branch": (c.branch[0], broken) + c.branch[2:]}
-
-
 def _both_longer(c):
-    return {"branch": c.branch + (c.branch[-1] + (0,),), "blocks": c.blocks + (c.blocks[-1],)}
+    return {"branch": tuple(c.branch) + (c.branch[-1] + (0,),), "blocks": c.blocks + (c.blocks[-1],)}
 
 
 # (id, fields to replace in the w, 1/2 certificate, message the replay must give)
@@ -652,7 +650,6 @@ TAMPERING = [
     ("branch-shorter", lambda c: {"branch": c.branch[:-1]}, "stage count mismatch"),
     ("blocks-shorter", lambda c: {"blocks": c.blocks[:-1]}, "stage count mismatch"),
     ("both-longer", _both_longer, "do not recompute: branch, blocks$"),
-    ("broken-path", _broken_path, "branch is not a chain of extending paths"),
     ("block-not-small", _block(1, constant(OMEGA, 1)), "block 2 is not small on the critical set"),
     (
         "block-first-one",
@@ -677,6 +674,83 @@ def test_certificate_detects_tampering(changes, message):
     forged = dataclasses.replace(cert, **changes(cert))
     with pytest.raises(CertificateError, match=message):
         forged.verify(space)
+
+
+def omega_certificate():
+    space = interval(OMEGA)
+    return space, extract_small_combination(space, marching_indicators(space), Fraction(1, 2))
+
+
+def test_the_branch_reads_as_its_prefixes():
+    _, cert = omega_certificate()
+    path = tuple(range(17))
+    paths = tuple(path[: m + 1] for m in range(17))
+    assert len(cert.branch) == 17 and cert.branch.path == path
+    assert [cert.branch[m] for m in range(17)] == list(paths)
+    assert cert.branch[-1] == path and cert.branch[-17] == (0,)
+    for m in (17, -18):
+        with pytest.raises(IndexError):
+            cert.branch[m]
+    for cut in (slice(None), slice(2, 5), slice(None, -1), slice(None, None, -3), slice(40, None)):
+        assert cert.branch[cut] == paths[cut] and type(cert.branch[cut]) is tuple
+    assert tuple(cert.branch) == paths and tuple(reversed(cert.branch)) == paths[::-1]
+    assert paths[3] in cert.branch and (1,) not in cert.branch and cert.branch.index((0, 1)) == 1
+    assert cert.branch == paths and paths == cert.branch and hash(cert.branch) == hash(paths)
+    assert cert.branch != paths[:-1] and cert.branch != paths + ((0,) * 18,) and cert.branch != list(paths)
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_a_copied_or_pickled_certificate_is_equal_and_verifies(protocol):
+    space, cert = omega_certificate()
+    for twin in (pickle.loads(pickle.dumps(cert, protocol)), copy.copy(cert), copy.deepcopy(cert)):
+        assert twin == cert and hash(twin) == hash(cert) and twin.verify(space)
+        assert twin.branch == cert.branch and type(twin.branch) is type(cert.branch)
+
+
+def test_a_branch_given_as_its_paths_is_stored_once_and_verifies():
+    space, cert = omega_certificate()
+    paths = tuple(cert.branch)
+    given = ExtractionCertificate(
+        branch=paths,
+        blocks=cert.blocks,
+        stage_norms=cert.stage_norms,
+        eps=cert.eps,
+        n=cert.n,
+        final=cert.final,
+        final_norm=cert.final_norm,
+        delta=cert.delta,
+    )
+    assert type(given.branch) is type(cert.branch) and given.branch.path == tuple(range(17))
+    assert given == cert and hash(given) == hash(cert) and given.verify(space)
+    assert dataclasses.replace(cert, branch=list(paths)) == cert
+
+
+def _broken_path(c):
+    broken = (c.branch[0][0] + 1,) + c.branch[1][1:]
+    return (c.branch[0], broken) + c.branch[2:]
+
+
+# (id, a branch given as paths that is not a chain of extending paths)
+BROKEN_BRANCHES = [
+    ("broken-path", _broken_path),
+    ("skips-a-stage", lambda c: c.branch[:1] + c.branch[2:]),
+    ("starts-at-two", lambda c: c.branch[1:]),
+    ("repeats-a-path", lambda c: c.branch[:1] + c.branch[:-1]),
+    ("paths-as-lists", lambda c: tuple(map(list, c.branch))),
+    ("ends-longer", lambda c: c.branch[:-1] + (c.branch[-1] + (0,),)),
+]
+
+
+@pytest.mark.parametrize("broken", [row[1] for row in BROKEN_BRANCHES], ids=[row[0] for row in BROKEN_BRANCHES])
+def test_a_branch_that_is_not_a_chain_is_refused_at_the_door(broken):
+    _, cert = omega_certificate()
+    given = {f.name: getattr(cert, f.name) for f in dataclasses.fields(cert)}
+    for build in (
+        lambda: ExtractionCertificate(**{**given, "branch": broken(cert)}),
+        lambda: dataclasses.replace(cert, branch=broken(cert)),
+    ):
+        with pytest.raises(CertificateError, match="^branch is not a chain of extending paths$"):
+            build()
 
 
 NOT_FINITE_HEIGHT = "extraction requires an infinite space of finite height; this space "
@@ -776,6 +850,31 @@ def test_each_running_sum_takes_one_norm(monkeypatch, text, delta, n):
 def test_family_tables_refuse_keys_they_do_not_name(table, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         family_from_table(interval(OMEGA), table)
+
+
+# --- complexity lock ----------------------------------------------------------------
+
+
+def extraction_peak(space, delta):
+    """The tracemalloc peak of one extraction with marching_indicators, in bytes."""
+    family = marching_indicators(space)
+    tracemalloc.start()
+    try:
+        extract_small_combination(space, family, delta)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_extraction_memory_grows_linearly_in_n():
+    """Catches paths copied per stage: keeping the n paths of a branch, about
+    n^2/2 ints, makes the peak at n = 2049 over n = 1025 about 3.8, and storing
+    the branch once as its last path makes it about 2.  A ratio of two sizes,
+    not bytes, so it holds on any host and on every CI Python."""
+    space = interval(parse("w^(5)"))
+    extraction_peak(space, Fraction(1, 2))  # the space's caches, outside the two measured runs
+    small, large = extraction_peak(space, Fraction(1, 8)), extraction_peak(space, Fraction(1, 16))
+    assert large / small <= 2.5, f"peak {large} at n = 2049 over {small} at n = 1025"
 
 
 # --- behaviour lock -----------------------------------------------------------------

@@ -20,21 +20,16 @@ from ordspace.trees import (
     EMPTY_TREE,
     FactReport,
     FiniteTree,
+    Node,
     check_fact_i,
     check_fact_ii,
-    iterated_prune,
-    max_nodes,
-    prune,
     rank,
-    strip,
-    subtree_above,
     tree_from_json,
     tree_from_text,
     tree_to_json,
     tree_to_text,
-    _above,
+    _check_k,
     _peel,
-    _stripped,
 )
 
 from conftest import longest_chain, random_tree
@@ -244,6 +239,63 @@ def test_prune_maximal_nodes_are_the_nodes_of_the_next_height(seed, size):
         assert max_nodes(iterated_prune(t, k)) == tuple(n for n in t.nodes if t.height(n) == k + 1)
 
 
+# --- the fact reference: prune, strip and subtree_above ---------------------
+# Reference only: the fact table is checked against these.  Each derived tree
+# goes through the one validating constructor, peel included, so its heights
+# are never copied from the tree it came from.
+
+
+def max_nodes(tree: FiniteTree) -> tuple[Node, ...]:
+    """The maximal nodes: those without children."""
+    return tuple(n for n in tree.nodes if not tree.children(n))
+
+
+def _restricted(tree: FiniteTree, keep: set) -> dict[Node, Node | None]:
+    """The parent map of the kept nodes; a node whose parent goes hangs off the root."""
+    return {n: p if p in keep else None for n, p in tree._parent.items() if n in keep}
+
+
+def prune(tree: FiniteTree) -> FiniteTree:
+    return iterated_prune(tree, 1)
+
+
+def iterated_prune(tree: FiniteTree, k: int) -> FiniteTree:
+    """Remove maximal nodes k times; the survivors are the nodes of height > k."""
+    if k < 0:
+        raise ValueError("prune count must be non-negative")
+    keep = {n for n, h in tree._height.items() if h > k}
+    return FiniteTree(_restricted(tree, keep))
+
+
+def _stripped(tree: FiniteTree, k: int) -> dict[Node, Node | None]:
+    _check_k(tree, k)
+    return _restricted(tree, {n for n, h in tree._height.items() if h <= k})
+
+
+def strip(tree: FiniteTree, k: int) -> FiniteTree:
+    """The part pruning would remove first: tree minus iterated_prune(tree, k)."""
+    return FiniteTree(_stripped(tree, k))
+
+
+def _above(tree: FiniteTree, s: Node) -> dict[Node, Node | None]:
+    """The parent map of the nodes strictly above s, with s's children top-level."""
+    if s not in tree:
+        raise ValueError(f"{s!r} is not a node of the tree")
+    parent: dict[Node, Node | None] = {}
+    children = tree._children
+    stack = [(child, None) for child in reversed(children[s])]
+    while stack:
+        node, par = stack.pop()
+        parent[node] = par
+        stack.extend([(child, node) for child in reversed(children[node])])
+    return parent
+
+
+def subtree_above(tree: FiniteTree, s: Node) -> FiniteTree:
+    """The nodes strictly above s, re-rooted so s's children become top-level."""
+    return FiniteTree(_above(tree, s))
+
+
 def reference_fact_reports(t, k):
     """Facts i and ii through the derived trees: strip, iterated_prune, subtree_above."""
     actual = rank(strip(t, k))
@@ -336,8 +388,7 @@ def test_checking_every_k_builds_one_table_and_peels_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("a fact check peeled")
 
-    for name in ("_peel", "_above", "_stripped"):
-        monkeypatch.setattr(trees_module, name, refuse)
+    monkeypatch.setattr(trees_module, "_peel", refuse)
     for _ in range(2):
         for k in range(rank(t) + 1):
             assert check_fact_i(t, k).passed and check_fact_ii(t, k).passed
