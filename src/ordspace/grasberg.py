@@ -41,6 +41,7 @@ from .topology import (
     cb_index,
     clip_atom,
     iterated_derivative,
+    stratum_nonempty,
     to_json as closed_set_to_json,
 )
 
@@ -278,9 +279,10 @@ def _sup_num(f: StepFunction, space: ClosedSet, floor: int = 0) -> int:
 
     Costs about atoms * log(pieces) comparisons.  A singleton's point lies in
     the piece bisect_left gives, and every piece that meets a mu = 0 stratum
-    holds a point of it, since every ordinal is a multiple of w^0.  Only a
-    stratum with mu > 0 clips, and only the pieces whose |num| beats the best
-    so far, which starts at floor."""
+    holds a point of it, since every ordinal is a multiple of w^0.  A stratum
+    with mu > 0 tests only the pieces whose |num| beats the best so far (from
+    floor), by stratum_nonempty on the piece's part of its window: where the
+    two ends first differ, with no ordinal built."""
     if f.ambient != space.ambient:
         raise ValueError("function and set live on different ambient intervals")
     bps, nums = f.breakpoints, f.nums
@@ -291,9 +293,11 @@ def _sup_num(f: StepFunction, space: ClosedSet, floor: int = 0) -> int:
         elif not atom.mu:
             x = max(map(abs, nums[bisect_right(bps, atom.lo) : bisect_left(bps, atom.hi) + 1]))
         else:
-            for i in range(bisect_right(bps, atom.lo), bisect_left(bps, atom.hi) + 1):
+            lo, hi, mu = atom
+            first, last = bisect_right(bps, lo), bisect_left(bps, hi)
+            for i in range(first, last + 1):
                 x = abs(nums[i])
-                if x > best and clip_atom(atom, bps[i - 1] if i else None, bps[i], least=True) is not None:
+                if x > best and stratum_nonempty(bps[i - 1] if i > first else lo, bps[i] if i < last else hi, mu):
                     best = x
             continue
         if x > best:
@@ -326,7 +330,7 @@ def argmax_on(f: StepFunction, space: ClosedSet) -> Ordinal | None:
 def _norm_num(f: StepFunction, space: ClosedSet) -> int:
     """The norm of f over den: max over n of 2^n * _sup_num(f, level n).  The
     levels are walked from b down to 0, each with the best so far as its floor:
-    2^n * x beats best exactly when x > best >> n, so a lower level clips only
+    2^n * x beats best exactly when x > best >> n, so a lower level tests only
     the pieces that could still win."""
     levels = level_sets(space)
     best = 0

@@ -71,7 +71,8 @@ def roundup(lo: Ordinal, nu: Ordinal) -> Ordinal:
 
 
 def stratum_nonempty(lo: Ordinal, hi: Ordinal, mu: Ordinal) -> bool:
-    return lo < hi and roundup(lo, mu) <= hi
+    """Whether (lo, hi] holds a multiple of w^mu, read where lo and hi first differ: no ordinal built."""
+    return lo < hi and max_stratum_exponent(lo, hi) >= mu
 
 
 def max_stratum_exponent(lo: Ordinal, hi: Ordinal) -> Ordinal:
@@ -278,9 +279,9 @@ def cb_index(space: ClosedSet) -> Ordinal:
 
 def is_finite(space: ClosedSet) -> bool:
     """Whether the set is finite, i.e. cb_index(space) <= 1, without listing it:
-    a stratum is infinite exactly when its window holds a multiple of w^(mu+1)."""
+    a stratum is infinite exactly when its window holds a multiple of w^(mu+1): max_stratum_exponent > mu."""
     for atom in space.atoms:
-        if isinstance(atom, Stratum) and roundup(atom.lo, add(atom.mu, ONE)) <= atom.hi:
+        if isinstance(atom, Stratum) and max_stratum_exponent(atom.lo, atom.hi) > atom.mu:
             return False
     return True
 

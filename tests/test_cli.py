@@ -5,6 +5,7 @@ import importlib.resources
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import pytest
 
 import ordspace
 from ordspace.cli import MAX_PIECES, run, _color_enabled
-from ordspace.extract import MAX_STAGES, ExtractionCertificate
+from ordspace.extract import MAX_STAGES, ExtractionCertificate, family_from_table
 from ordspace.fuzz import shrink_step_function
 from ordspace.grasberg import StepFunction, constant, step_function_to_json, sup_on
 from ordspace.ordinal import OMEGA, from_int
@@ -469,6 +470,37 @@ def test_malformed_family_table_is_one_error_line(tmp_path, table, field):
     assert one_line_error(out) and f"family table {field}" in out
 
 
+def test_family_tables_validate_against_their_schema():
+    """The tables these tests and README build are valid v1 family tables, and an
+    unknown key, at the top level or in an entry, is refused by both
+    family_from_table and jsonschema."""
+    schema = load_schema("family_table.json")
+    jsonschema.Draft202012Validator.check_schema(schema)
+    first = step_function_to_json(StepFunction(OMEGA, (from_int(3), OMEGA), (1, 0)))
+    default = step_function_to_json(StepFunction(OMEGA, (from_int(1), from_int(3), OMEGA), ("1/10", 1, 0)))
+    half = step_function_to_json(constant(OMEGA, Fraction(1, 2)))
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    tables = [
+        {"cutoff": 40},
+        {"cutoff": 5, "entries": [{"path": [0], "fn": first}], "default": default},
+        {"cutoff": 5, "default": default},
+        {"cutoff": 4, "entries": [{"path": [0], "fn": half}]},
+        {"cutoff": 1, "entries": [{"path": [], "fn": half}, {"path": [0, 2], "fn": first}], "default": None},
+        json.loads(re.search(r'```json\n(\{"cutoff".*?)```', readme, re.S).group(1)),
+    ]
+    for table in tables:
+        jsonschema.validate(table, schema)
+        family_from_table(interval(OMEGA), table)
+    for table in (
+        {**tables[1], "colour": "red"},
+        {"cutoff": 5, "entries": [{"path": [0], "fn": first, "note": "x"}]},
+    ):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(table, schema)
+        with pytest.raises(ValueError, match="has an unknown field"):
+            family_from_table(interval(OMEGA), table)
+
+
 # --- schema -------------------------------------------------------------------------
 
 
@@ -478,6 +510,7 @@ def test_schema_list():
     assert out.splitlines() == [
         "certificate.json",
         "closed_set.json",
+        "family_table.json",
         "ordinal.json",
         "step_function.json",
         "tree.json",

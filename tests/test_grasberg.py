@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import ordspace.topology
 from ordspace.grasberg import (
     StepFunction,
     _add,
@@ -650,6 +651,37 @@ def test_sup_num_with_a_floor_is_the_max_of_floor_and_sup(space_and_fs, data):
         floors = [0, sup, sup + 1, max(sup - 1, 0), sup // 2, data.draw(st.integers(min_value=0, max_value=BIG**2))]
         for floor in floors:
             assert _sup_num(f, s, floor) == max(floor, sup)
+
+
+def staircase(k):
+    """k pieces on [0, w^(3)], cut at the successors w^(2)*a+w*b+1 for (a, b) =
+    divmod(i, 10), with values 1/k, ..., (k-1)/k and 0 on the last piece: each
+    |value| beats the one before, and every tenth piece holds a multiple of w^2."""
+    cuts = [
+        assemble([(e, c) for e, c in ((TWO, a), (ONE, b), (ZERO, 1)) if c])
+        for a, b in (divmod(i, 10) for i in range(k - 1))
+    ]
+    ambient = omega_pow(from_int(3))
+    return StepFunction(ambient, cuts + [ambient], [Fraction(i, k) for i in range(1, k)] + [0])
+
+
+def test_the_norm_builds_no_ordinal_per_piece(monkeypatch):
+    """Catches a per-piece clip in the level sups: building each candidate piece's
+    least multiple of w^mu (roundup) costs one ordinal for each of the k - 1
+    pieces that beat the best so far at level 2, where reading the window's
+    ends builds none, so the count would double with k."""
+    space = interval(omega_pow(from_int(3)))
+    level_sets(space)  # the levels are built once per space, outside the count
+    calls = []
+    monkeypatch.setattr(ordspace.topology, "roundup", lambda *args: calls.append(args) or roundup(*args))
+    norms, counts = {}, {}
+    for k in (100, 200):
+        f = staircase(k)
+        calls.clear()
+        norms[k] = grasberg_norm(f, space)
+        counts[k] = len(calls)
+    assert norms == {100: Fraction(91, 25), 200: Fraction(191, 50)}
+    assert counts[200] == counts[100], f"roundup calls by k: {counts}"
 
 
 @given(functions_on_infinite_sets(count=st.integers(min_value=1, max_value=9)))

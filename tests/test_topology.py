@@ -243,6 +243,34 @@ def test_max_stratum_exponent_certificate(lo, width):
     assert roundup(lo, successor(nu)) > hi
 
 
+@st.composite
+def stratum_windows(draw):
+    """(lo, hi, mu) with lo < hi: lo a proper prefix of hi, lo and hi with equal
+    leading terms (p + a < p + b), or any two ordinals; mu at or just above an
+    exponent of hi, 0, or any small ordinal."""
+    shape = draw(st.sampled_from(("prefix", "shared", "any")))
+    if shape == "prefix":
+        hi = draw(positive_ordinals)
+        lo = Ordinal(hi[: draw(st.integers(min_value=0, max_value=len(hi) - 1))])
+    else:
+        head = draw(ordinals) if shape == "shared" else ZERO
+        a, b = sorted(draw(st.lists(ordinals, min_size=2, max_size=2, unique=True)))
+        lo, hi = add(head, a), add(head, b)
+    exponent = draw(st.sampled_from([e for e, _ in hi]))
+    mu = draw(st.sampled_from((exponent, successor(exponent), ZERO)) | small_ordinals)
+    return lo, hi, mu
+
+
+@settings(max_examples=300)
+@given(stratum_windows())
+def test_stratum_nonempty_matches_roundup(window):
+    """The window rule, read where lo and hi first differ, against the earlier
+    test that builds the least multiple of w^mu above lo."""
+    lo, hi, mu = window
+    assert stratum_nonempty(lo, hi, mu) == (roundup(lo, mu) <= hi)
+    assert not stratum_nonempty(hi, lo, mu) and not stratum_nonempty(hi, hi, mu)
+
+
 def test_clip_atom_to_piece():
     five, nine = from_int(5), from_int(9)
     single = Singleton(five)
@@ -401,7 +429,7 @@ def reference_normalize(ambient, atoms):
     for atom in atoms:
         if isinstance(atom, Singleton):
             singles.add(atom.point)
-        elif stratum_nonempty(atom.lo, atom.hi, atom.mu):
+        elif roundup(atom.lo, atom.mu) <= atom.hi:  # the earlier emptiness test
             strata.append(atom)
 
     changed = True
@@ -526,6 +554,15 @@ def test_one_stratum_takes_the_general_normal_form(ambient, lo, hi, mu):
 def test_is_finite_is_cb_index_at_most_one(s):
     assert is_finite(s) == (cb_index(s) <= ONE)
     assert (finite_points(s) is None) == (not is_finite(s))
+
+
+@settings(max_examples=300)
+@given(st.one_of(closed_sets, raw_atom_lists.map(lambda atoms: ClosedSet(POOL_AMBIENT, atoms))))
+def test_is_finite_matches_roundup(s):
+    """is_finite against the earlier test: a stratum is infinite when the least
+    multiple of w^(mu+1) above lo is at most hi."""
+    strata = [a for a in s.atoms if isinstance(a, Stratum)]
+    assert is_finite(s) == (not any(roundup(a.lo, add(a.mu, ONE)) <= a.hi for a in strata))
 
 
 @given(raw_atom_lists)

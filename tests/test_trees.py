@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -399,6 +400,28 @@ def test_every_k_on_a_20000_node_chain_finishes():
     # the per-k peel took the sum of all subtree sizes, 2 * 10**8 node visits here
     t = chain(20000)
     assert all(check_fact_i(t, k).passed and check_fact_ii(t, k).passed for k in range(rank(t) + 1))
+
+
+def fact_ii_peak(tree):
+    """The tracemalloc peak, in bytes, of check_fact_ii at every 97th k."""
+    tracemalloc.start()
+    try:
+        for k in range(0, rank(tree) + 1, 97):
+            check_fact_ii(tree, k)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tree_facts_memory_grows_linearly():
+    """Catches a per-k peel or copy that is kept: the stripped tree of each k
+    checked holds about n^2 / 194 nodes on an n-node chain, which lifts the
+    peak at 4,000 nodes over 2,000 to about 3.9, where one table per tree makes
+    it about 2.  A peel dropped after each k costs time, not peak memory: the
+    20,000-node chain test catches that.  A ratio of two sizes, not bytes, so
+    it holds on any host and on every CI Python."""
+    small, large = fact_ii_peak(chain(2000)), fact_ii_peak(chain(4000))
+    assert large / small <= 2.5, f"peak {large} at 4,000 nodes over {small} at 2,000"
 
 
 def test_the_fact_table_is_not_part_of_the_tree():
