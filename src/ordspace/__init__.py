@@ -10,14 +10,12 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "ordinal": (
         "OMEGA", "ONE", "ZERO", "Ordinal", "ParseError", "add", "compare",
-        "divide_by_omega_pow", "format_ordinal", "from_int", "left_subtract",
-        "leading_exponent", "mul_nat", "omega_mul", "omega_pow", "parse",
-        "predecessor", "successor", "tower_index",
+        "format_ordinal", "from_int", "left_subtract", "leading_exponent",
+        "mul_nat", "omega_pow", "parse", "predecessor", "successor", "tower_index",
     ),
     "topology": (
-        "ClosedSet", "Singleton", "Stratum", "cb_index", "contains", "derivative",
-        "finite_points", "format_closed_set", "interval", "is_empty",
-        "iterated_derivative", "roundup",
+        "ClosedSet", "Singleton", "Stratum", "cb_index", "contains", "finite_points",
+        "format_closed_set", "interval", "is_empty", "iterated_derivative", "roundup",
     ),
     "grasberg": (
         "GrasbergParams", "KingReport", "QueenReport", "StepFunction", "check_king",
@@ -26,14 +24,14 @@ _EXPORTS = {
     ),
     "fuzz": ("random_step_function",),
     "trees": (
-        "EMPTY_TREE", "FactReport", "FiniteTree", "check_fact_i", "check_fact_ii",
-        "rank", "tree_from_json", "tree_from_text", "tree_to_json", "tree_to_text",
+        "FactReport", "FiniteTree", "check_fact_i", "check_fact_ii", "rank",
+        "tree_from_json", "tree_from_text", "tree_to_json", "tree_to_text",
     ),
     "szlenk": ("SzlenkResult", "dirac_derivative", "index_of_CK", "index_of_interval"),
     "extract": (
         "CertificateError", "ExtractionCertificate", "FamilyContractError",
         "WeaklyNullFamily", "extract_small_combination", "family_from_table",
-        "marching_indicators", "zero_family",
+        "marching_indicators",
     ),
 }
 

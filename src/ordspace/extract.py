@@ -136,11 +136,6 @@ def marching_indicators(space: ClosedSet, step: Ordinal = ONE) -> WeaklyNullFami
     return WeaklyNullFamily(space=space, at=at, first_small=first_small)
 
 
-def zero_family(space: ClosedSet) -> WeaklyNullFamily:
-    zero = constant(space.ambient, 0)
-    return WeaklyNullFamily(space=space, at=lambda path: zero)
-
-
 def family_from_table(space: ClosedSet, table: dict) -> WeaklyNullFamily:
     """Family given by a finite table {path -> step function}.
 

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from .ordinal import ZERO, Ordinal, _trusted, add, omega_pow
+from .ordinal import ZERO, Ordinal, _trusted
 from .topology import ClosedSet, Singleton, roundup
 from .grasberg import StepFunction, _step, level_sets, params, phi, step_scale, sup_on
 
@@ -61,7 +61,7 @@ def _landmarks(space: ClosedSet) -> frozenset[Ordinal]:
             else:
                 first = roundup(atom.lo, atom.mu)
                 pool.add(first)
-                second = add(first, omega_pow(atom.mu))
+                second = roundup(first, atom.mu)
                 if second <= atom.hi:
                     pool.add(second)
     return frozenset(pool)

@@ -380,10 +380,8 @@ def _phi(f: StepFunction, space: ClosedSet, eps: Rational) -> tuple[ClosedSet, F
     for n, level in enumerate(level_sets(space)[: max(first_hot) + 1]):
         for atom in level.atoms:
             for i in _pieces_of(f, atom):
-                if first_hot[i] == n:
-                    clipped = clip_atom(atom, bps[i - 1] if i else None, bps[i])
-                    if clipped is not None:
-                        atoms.append(clipped)
+                if first_hot[i] == n:  # never None: _pieces_of gives only pieces that cut the window
+                    atoms.append(clip_atom(atom, bps[i - 1] if i else None, bps[i]))
     result = ClosedSet(space.ambient, atoms), Fraction(norm, f.den)
     _last_phi = (f, space, eps, result)
     return result

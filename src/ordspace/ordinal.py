@@ -64,18 +64,8 @@ class Ordinal(tuple):
     def is_zero(self) -> bool:
         return not self
 
-    def is_finite(self) -> bool:
-        return not self or (len(self) == 1 and not self[0][0])
-
     def is_successor(self) -> bool:
         return bool(self) and not self[-1][0]
-
-    def __int__(self) -> int:
-        if not self:
-            return 0
-        if not self.is_finite():
-            raise ValueError(f"{self} is not finite")
-        return self[0][1]
 
     def __str__(self) -> str:
         return format_ordinal(self)
@@ -178,11 +168,6 @@ def omega_pow(a: Ordinal) -> Ordinal:
     return _trusted(((a, 1),))
 
 
-def omega_mul(mu: Ordinal, x: Ordinal) -> Ordinal:
-    """Left product w^mu * x; shifts every CNF exponent of x up by mu."""
-    return _trusted(tuple([(add(mu, e), c) for e, c in x]))
-
-
 def leading_exponent(a: Ordinal) -> Ordinal:
     if a.is_zero():
         raise ValueError("zero has no leading exponent")
@@ -223,22 +208,6 @@ def left_subtract(a: Ordinal, b: Ordinal) -> Ordinal:
         return _trusted(((eb, cb - ca),) + b[1:])
     # equal head terms: recurse on the tails
     return left_subtract(_trusted(a[1:]), _trusted(b[1:]))
-
-
-def divide_by_omega_pow(g: Ordinal, mu: Ordinal) -> tuple[Ordinal, Ordinal]:
-    """Split g = w^mu * quotient + remainder with remainder < w^mu.
-
-    Terms with exponent >= mu feed the quotient (exponent shifted down by
-    mu on the left), the rest form the remainder.  g is a multiple of w^mu
-    exactly when the remainder is 0.
-    """
-    quot, rem = [], []
-    for e, c in g:
-        if e >= mu:
-            quot.append((left_subtract(mu, e), c))
-        else:
-            rem.append((e, c))
-    return _trusted(tuple(quot)), _trusted(tuple(rem))
 
 
 def tower_index(z: Ordinal) -> Ordinal:
@@ -370,14 +339,3 @@ def from_json(data, _depth: int = 0) -> Ordinal:
             raise ValueError("ordinal JSON terms must be [exponent, integer coefficient]")
         terms.append((from_json(item[0], _depth + 1), item[1]))
     return _trusted(_validated(terms))
-
-
-def validate(a: Ordinal) -> None:
-    """Assert the CNF invariants recursively; for tests."""
-    for e, c in a:
-        if type(c) is not int or c < 1:
-            raise AssertionError("coefficient not an int >= 1")
-        validate(e)
-    for (e1, _), (e2, _) in zip(a, a[1:]):
-        if e1 <= e2:
-            raise AssertionError("exponents not strictly decreasing")

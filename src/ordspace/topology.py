@@ -25,7 +25,6 @@ from .ordinal import (
     format_ordinal,
     from_json as ordinal_from_json,
     left_subtract,
-    omega_pow,
     to_json as ordinal_to_json,
 )
 
@@ -212,7 +211,7 @@ def _normalize(ambient: Ordinal, atoms: Iterable[Atom]) -> tuple[Atom, ...]:
     final_strata: list[Stratum] = []
     for s in kept:
         first = roundup(s.lo, s.mu)
-        if add(first, omega_pow(s.mu)) > s.hi:
+        if roundup(first, s.mu) > s.hi:
             singles.add(first)
         else:
             final_strata.append(s)
@@ -245,11 +244,6 @@ def contains(space: ClosedSet, g: Ordinal) -> bool:
 
 def is_empty(space: ClosedSet) -> bool:
     return not space.atoms
-
-
-def derivative(space: ClosedSet) -> ClosedSet:
-    """Cantor-Bendixson derivative: the points that are limits of the set."""
-    return iterated_derivative(space, ONE)
 
 
 def iterated_derivative(space: ClosedSet, xi: Ordinal) -> ClosedSet:
@@ -295,11 +289,10 @@ def finite_points(space: ClosedSet) -> tuple[Ordinal, ...] | None:
         if isinstance(atom, Singleton):
             points.add(atom.point)
             continue
-        step = omega_pow(atom.mu)
         m = roundup(atom.lo, atom.mu)
         while m <= atom.hi:
             points.add(m)
-            m = add(m, step)
+            m = roundup(m, atom.mu)
     return tuple(sorted(points))
 
 

@@ -105,9 +105,6 @@ def _peel(parent: Mapping[Node, Node | None]) -> tuple[dict[Node, int], int]:
     return height, level
 
 
-EMPTY_TREE = FiniteTree({})
-
-
 def rank(tree: FiniteTree) -> int:
     """The number of prunings that empty the tree; the longest chain length."""
     return tree._rank

@@ -1,4 +1,11 @@
-"""Shared strategies, fixtures, and independent oracles for the test suite."""
+"""Shared strategies, fixtures, and independent oracles for the test suite.
+
+The oracles are reference code that no library path runs, kept here rather
+than in ``src/``: ``validate`` (the CNF invariants, recursively), ``omega_mul``
+and ``divide_by_omega_pow`` (the left product and division by w^mu that the
+ordinal and stratum references are written in), ``derivative`` (the first
+Cantor-Bendixson derivative), ``zero_family`` and ``EMPTY_TREE``.
+"""
 
 import random
 
@@ -13,11 +20,14 @@ from ordspace.ordinal import (
     Ordinal,
     add,
     from_int,
+    left_subtract,
     mul_nat,
     omega_pow,
 )
+from ordspace.extract import WeaklyNullFamily
 from ordspace.fuzz import random_ordinal
-from ordspace.topology import ClosedSet, Singleton, Stratum, interval, roundup
+from ordspace.grasberg import constant
+from ordspace.topology import ClosedSet, Singleton, Stratum, interval, iterated_derivative, roundup
 from ordspace.trees import FiniteTree
 
 settings.register_profile(
@@ -28,6 +38,51 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 settings.load_profile("suite")
+
+
+def validate(a: Ordinal) -> None:
+    """Assert the CNF invariants recursively."""
+    for e, c in a:
+        if type(c) is not int or c < 1:
+            raise AssertionError("coefficient not an int >= 1")
+        validate(e)
+    for (e1, _), (e2, _) in zip(a, a[1:]):
+        if e1 <= e2:
+            raise AssertionError("exponents not strictly decreasing")
+
+
+def omega_mul(mu: Ordinal, x: Ordinal) -> Ordinal:
+    """Left product w^mu * x; shifts every CNF exponent of x up by mu."""
+    return Ordinal([(add(mu, e), c) for e, c in x])
+
+
+def divide_by_omega_pow(g: Ordinal, mu: Ordinal) -> tuple[Ordinal, Ordinal]:
+    """Split g = w^mu * quotient + remainder with remainder < w^mu.
+
+    Terms with exponent >= mu feed the quotient (exponent shifted down by
+    mu on the left), the rest form the remainder.  g is a multiple of w^mu
+    exactly when the remainder is 0.
+    """
+    quot, rem = [], []
+    for e, c in g:
+        if e >= mu:
+            quot.append((left_subtract(mu, e), c))
+        else:
+            rem.append((e, c))
+    return Ordinal(quot), Ordinal(rem)
+
+
+def derivative(space: ClosedSet) -> ClosedSet:
+    """Cantor-Bendixson derivative: the points that are limits of the set."""
+    return iterated_derivative(space, ONE)
+
+
+def zero_family(space: ClosedSet) -> WeaklyNullFamily:
+    zero = constant(space.ambient, 0)
+    return WeaklyNullFamily(space=space, at=lambda path: zero)
+
+
+EMPTY_TREE = FiniteTree({})
 
 
 def assemble(pairs):

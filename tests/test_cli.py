@@ -15,14 +15,18 @@ from types import SimpleNamespace
 
 import jsonschema
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ordspace
+from ordspace import ordinal, topology
 from ordspace.cli import MAX_PIECES, run, _color_enabled
 from ordspace.extract import MAX_STAGES, ExtractionCertificate, family_from_table
 from ordspace.fuzz import shrink_step_function
-from ordspace.grasberg import StepFunction, constant, step_function_to_json, sup_on
-from ordspace.ordinal import OMEGA, from_int
-from ordspace.topology import interval
+from ordspace.grasberg import StepFunction, constant, step_function_from_json, step_function_to_json, sup_on
+from ordspace.ordinal import OMEGA, ONE, from_int, parse
+from ordspace.topology import ClosedSet, Singleton, Stratum, interval
+from ordspace.trees import tree_from_json
 
 
 def cap(argv):
@@ -522,6 +526,111 @@ def test_schema_show_is_json():
     assert code == 0
     parsed = json.loads(out)
     assert parsed["$id"].endswith("ordinal.json")
+
+
+# --- every JSON door against its schema -------------------------------------------------
+
+STEP = step_function_to_json(StepFunction(OMEGA, (from_int(3), OMEGA), ("1/2", 0)))
+# schema file -> (a valid document, the library decoder of that format)
+DOORS = {
+    "ordinal.json": (ordinal.to_json(parse("w^(w+1)*2+w^(3)+5")), ordinal.from_json),
+    "closed_set.json": (
+        topology.to_json(
+            ClosedSet(parse("w^(2)*2"), [Singleton(from_int(3)), Stratum(OMEGA, parse("w^(2)*2"), ONE)])
+        ),
+        topology.from_json,
+    ),
+    "step_function.json": (STEP, step_function_from_json),
+    "tree.json": (
+        {"nodes": [{"id": "a", "parent": None}, {"id": 1, "parent": "a"}, {"id": "c", "parent": 1}]},
+        tree_from_json,
+    ),
+    "family_table.json": (
+        {"cutoff": 5, "entries": [{"path": [0], "fn": STEP}], "default": STEP},
+        lambda table: family_from_table(interval(OMEGA), table),
+    ),
+}
+# every key some format names, and two no format names
+KEYS = ["ambient", "atoms", "singleton", "lo", "hi", "mu", "pieces", "upTo", "value",
+        "nodes", "id", "parent", "cutoff", "entries", "default", "path", "fn", "note", "colour"]
+SCALARS = [None, True, 0, 1, -1, 2.0, 1.5, "", "a", "1/2", "1/0", [], {}]
+
+
+def _parts(doc):
+    """Every value in the document, the document first, as they appear in it."""
+    yield doc
+    for value in doc.values() if isinstance(doc, dict) else doc if isinstance(doc, list) else ():
+        yield from _parts(value)
+
+
+@st.composite
+def mutated(draw, doc):
+    """A deep copy of the document with one key or element added, dropped or
+    replaced, in one of its objects or arrays; a new value is a scalar, an
+    empty container or a copy of any part of the document."""
+    doc = json.loads(json.dumps(doc))
+    value = json.loads(json.dumps(draw(st.sampled_from(SCALARS + list(_parts(doc))))))
+    target = draw(st.sampled_from([part for part in _parts(doc) if isinstance(part, (dict, list))]))
+    op = draw(st.sampled_from(["add", "drop", "replace"]) if target else st.just("add"))
+    if isinstance(target, dict):
+        key = draw(st.sampled_from(KEYS if op == "add" else sorted(target)))
+        if op == "drop":
+            del target[key]
+        else:
+            target[key] = value
+    elif op == "add":
+        target.insert(draw(st.integers(0, len(target))), value)
+    else:
+        i = draw(st.integers(0, len(target) - 1))
+        if op == "drop":
+            del target[i]
+        else:
+            target[i] = value
+    return doc
+
+
+@pytest.mark.parametrize("name", list(DOORS))
+@given(data=st.data())
+def test_a_door_accepts_only_what_its_schema_accepts(name, data):
+    """Whenever a decoder accepts a mutated document, jsonschema accepts it on the
+    shipped v1 schema.  Not the converse: the decoders also check CNF order,
+    increasing breakpoints, matching ambients and repeated ids or paths."""
+    valid, decode = DOORS[name]
+    schema = load_schema(name)
+    jsonschema.validate(valid, schema)
+    doc = data.draw(mutated(valid))
+    try:
+        decode(doc)
+    except ValueError:
+        return
+    jsonschema.validate(doc, schema)
+
+
+# command -> (schema file of its input, argv with {} for the input)
+JSON_COMMANDS = {
+    "grasberg-norm": ("step_function.json", ["grasberg", "norm", "--space", "w", "--fn", "{}"]),
+    "tree-rank": ("tree.json", ["tree", "rank", "--file", "{}"]),
+    "extract-family": ("family_table.json", ["extract", "--space", "w", "--family", "{}", "--delta", "1/2"]),
+}
+
+
+@pytest.mark.parametrize("command", list(JSON_COMMANDS))
+@given(data=st.data())
+def test_a_mutated_json_input_is_one_line_or_none(tmp_path_factory, command, data):
+    """Through the command line a mutated input exits 0, 1 or 2, writes at most
+    one line to stderr, and raises nothing out of run (no traceback)."""
+    name, argv = JSON_COMMANDS[command]
+    text = json.dumps(data.draw(mutated(DOORS[name][0])))
+    if "--fn" not in argv:
+        path = tmp_path_factory.mktemp(command) / "input.json"
+        path.write_text(text)
+        text = str(path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([text if arg == "{}" else arg for arg in argv])
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")
 
 
 # --- exit codes and plumbing ----------------------------------------------------------

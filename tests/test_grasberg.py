@@ -15,12 +15,14 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import ordspace.grasberg
 import ordspace.topology
 from ordspace.grasberg import (
     StepFunction,
     _add,
     _norm_num,
     _phi,
+    _step,
     _sup_num,
     argmax_on,
     check_king,
@@ -53,7 +55,6 @@ from ordspace.ordinal import (
     mul_nat,
     omega_pow,
     parse,
-    validate,
 )
 from ordspace.szlenk import dirac_derivative
 from ordspace.topology import (
@@ -62,7 +63,6 @@ from ordspace.topology import (
     Stratum,
     cb_index,
     clip_atom,
-    derivative,
     finite_points,
     format_closed_set,
     interval,
@@ -71,7 +71,7 @@ from ordspace.topology import (
     roundup,
 )
 
-from conftest import assemble, closed_sets, landmark_points
+from conftest import assemble, closed_sets, derivative, landmark_points, validate
 
 TWO = from_int(2)
 OMEGA_SQ = omega_pow(TWO)
@@ -681,7 +681,26 @@ def test_the_norm_builds_no_ordinal_per_piece(monkeypatch):
         norms[k] = grasberg_norm(f, space)
         counts[k] = len(calls)
     assert norms == {100: Fraction(91, 25), 200: Fraction(191, 50)}
+    print(f"complexity lock: grasberg_norm roundup calls on the k-piece staircase: {counts[100]} at k = 100, {counts[200]} at k = 200")
     assert counts[200] == counts[100], f"roundup calls by k: {counts}"
+
+
+def test_step_sum_builds_one_step_function(monkeypatch):
+    """Catches a pairwise sum: reduce(step_add, fs) builds each of its k - 1
+    running sums through _step, so the count would double with k, where one
+    sort of the cut points builds only the result."""
+    ambient = omega_pow(from_int(3))
+    built = []
+    monkeypatch.setattr(ordspace.grasberg, "_step", lambda *args: built.append(args) or _step(*args))
+    counts = {}
+    for k in (100, 200):
+        fs = [indicator(ambient, mul_nat(OMEGA, i), mul_nat(OMEGA, i + 1)) for i in range(1, k + 1)]
+        built.clear()
+        total = step_sum(fs)
+        counts[k] = len(built)
+        assert total == indicator(ambient, OMEGA, mul_nat(OMEGA, k + 1))
+    print(f"complexity lock: step_sum _step calls on k indicators: {counts[100]} at k = 100, {counts[200]} at k = 200")
+    assert counts[200] == counts[100], f"_step calls by k: {counts}"
 
 
 @given(functions_on_infinite_sets(count=st.integers(min_value=1, max_value=9)))

@@ -16,7 +16,6 @@ from ordspace.ordinal import (
     ParseError,
     add,
     compare,
-    divide_by_omega_pow,
     format_ordinal,
     from_int,
     from_json,
@@ -24,17 +23,15 @@ from ordspace.ordinal import (
     leading_exponent,
     left_subtract,
     mul_nat,
-    omega_mul,
     omega_pow,
     parse,
     predecessor,
     successor,
     to_json,
     tower_index,
-    validate,
 )
 
-from conftest import ordinals, positive_ordinals
+from conftest import divide_by_omega_pow, omega_mul, ordinals, positive_ordinals, validate
 
 TWO = from_int(2)
 THREE = from_int(3)

@@ -30,7 +30,6 @@ from ordspace.extract import (
     extract_small_combination,
     family_from_table,
     marching_indicators,
-    zero_family,
 )
 from ordspace.fuzz import random_ordinal, random_step_function
 from ordspace.grasberg import (
@@ -75,7 +74,7 @@ from ordspace.topology import (
 )
 from ordspace.szlenk import SzlenkResult, dirac_derivative, index_of_CK, index_of_interval
 
-from conftest import closed_sets, ordinals, small_ordinals
+from conftest import closed_sets, ordinals, small_ordinals, zero_family
 
 TWO = from_int(2)
 THREE = from_int(3)
@@ -874,6 +873,7 @@ def test_extraction_memory_grows_linearly_in_n():
     space = interval(parse("w^(5)"))
     extraction_peak(space, Fraction(1, 2))  # the space's caches, outside the two measured runs
     small, large = extraction_peak(space, Fraction(1, 8)), extraction_peak(space, Fraction(1, 16))
+    print(f"complexity lock: extraction tracemalloc peak: {large} B at n = 2049 over {small} B at n = 1025, ratio {large / small:.2f}")
     assert large / small <= 2.5, f"peak {large} at n = 2049 over {small} at n = 1025"
 
 

@@ -16,16 +16,13 @@ from ordspace.ordinal import (
     Ordinal,
     add,
     compare,
-    divide_by_omega_pow,
     from_int,
     last_exponent,
     leading_exponent,
     mul_nat,
-    omega_mul,
     omega_pow,
     parse,
     successor,
-    validate,
 )
 from ordspace.topology import (
     ClosedSet,
@@ -34,7 +31,6 @@ from ordspace.topology import (
     cb_index,
     clip_atom,
     contains,
-    derivative,
     finite_points,
     format_closed_set,
     from_json,
@@ -52,11 +48,15 @@ from ordspace.topology import (
 
 from conftest import (
     closed_sets,
+    derivative,
     display_member,
+    divide_by_omega_pow,
     landmark_points,
+    omega_mul,
     ordinals,
     positive_ordinals,
     small_ordinals,
+    validate,
 )
 
 TWO = from_int(2)

@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 
 import ordspace.trees as trees_module
 
-from ordspace.extract import family_from_table, marching_indicators, zero_family
+from ordspace.extract import family_from_table, marching_indicators
 from ordspace.fuzz import random_step_function
 from ordspace.grasberg import StepFunction, constant, step_function_to_json, sup_on, value_at
 from ordspace.ordinal import OMEGA, ONE, ZERO, from_int, mul_nat, parse
 from ordspace.topology import ClosedSet, Stratum, interval
 from ordspace.trees import (
-    EMPTY_TREE,
     FactReport,
     FiniteTree,
     Node,
@@ -33,7 +32,7 @@ from ordspace.trees import (
     _peel,
 )
 
-from conftest import longest_chain, random_tree
+from conftest import EMPTY_TREE, longest_chain, random_tree, zero_family
 
 
 def chain(n):
@@ -421,6 +420,7 @@ def test_tree_facts_memory_grows_linearly():
     20,000-node chain test catches that.  A ratio of two sizes, not bytes, so
     it holds on any host and on every CI Python."""
     small, large = fact_ii_peak(chain(2000)), fact_ii_peak(chain(4000))
+    print(f"complexity lock: tree facts tracemalloc peak: {large} B at 4,000 nodes over {small} B at 2,000, ratio {large / small:.2f}")
     assert large / small <= 2.5, f"peak {large} at 4,000 nodes over {small} at 2,000"
 
 
